@@ -46,16 +46,8 @@ class CheckResult:
     seconds: float
 
 
-def _params_q3() -> LatticeParams:
-    return LatticeParams.make(3, 1, -1, -1)
-
-
-def _params_q5() -> LatticeParams:
-    return LatticeParams.make(5, 1, 2, 3)
-
-
 def check_construction_fidelity(jobs=1):
-    params = _params_q3()
+    params = get_presentation("q3").params
     ext = params.ext
     fiber_a, fiber_b = build_generators(params)
     want_a = {ext.element(1), ext.element(-1), ext.element(0, 1), ext.element(0, -1)}
@@ -75,8 +67,8 @@ def check_construction_fidelity(jobs=1):
 def check_oracle_equivalence(jobs=1):
     from .lattice import oracle_check_table
 
-    rep3 = oracle_check_table(build_square_table(_params_q3()))
-    rep5 = oracle_check_table(build_square_table(_params_q5()))
+    rep3 = oracle_check_table(get_presentation("q3"))
+    rep5 = oracle_check_table(get_presentation("q5"))
     rels = gamma3_matrix_relations()
     ok = rep3["ok"] and rep5["ok"] and all(rels.values())
     return ok, (
@@ -94,11 +86,12 @@ def check_orbits(jobs=1):
 
 
 def check_k_tau_sigma(jobs=1):
-    k3 = compute_k_tau(_params_q3())
-    k5 = compute_k_tau(_params_q5())
+    q3, q5 = get_presentation("q3").params, get_presentation("q5").params
+    k3 = compute_k_tau(q3)
+    k5 = compute_k_tau(q5)
     ok = k3 == 2 and k5 == 1
     details = [f"k_tau(3,-1,-1)={k3}", f"k_tau(5,2,3)={k5}"]
-    for params in (_params_q3(), _params_q5()):
+    for params in (q3, q5):
         k = compute_k_tau(params)
         fixed = all(
             sigma_k(params.ext, xi, k) == xi
@@ -125,7 +118,7 @@ def check_k_tau_sigma(jobs=1):
 
 
 def check_endomorphisms(jobs=1):
-    pres = build_square_table(_params_q3())
+    pres = get_presentation("q3")
     rep_ktau = verify_homomorphism(pres, pres, phi_k_map(pres, pres, 2))
     rep_phi1 = verify_homomorphism(pres, pres, phi_k_map(pres, pres, 1))
     g4 = get_presentation("gamma4")
@@ -133,7 +126,7 @@ def check_endomorphisms(jobs=1):
         g4, g4, letter_map(g4, g4, {"a": ["a"] * 4, "b": ["b"] * 4, "x": ["x"], "y": ["y"]})
     )
     lemma_ok, lemma_count = True, 0
-    for params in (_params_q3(), _params_q5()):
+    for params in (pres.params, get_presentation("q5").params):
         algebra = QuatAlgebra(params.ext)
         fa, fb = build_generators(params)
         for k in (1, 2):
@@ -149,8 +142,8 @@ def check_endomorphisms(jobs=1):
 
 
 def check_p_power_relations(jobs=1):
-    rep3 = check_finite_lemmas(build_square_table(_params_q3()), powers=(1, 2, 3, 4))
-    rep5 = check_finite_lemmas(build_square_table(_params_q5()), powers=(1, 2, 3))
+    rep3 = check_finite_lemmas(get_presentation("q3"), powers=(1, 2, 3, 4))
+    rep5 = check_finite_lemmas(get_presentation("q5"), powers=(1, 2, 3))
     ok = rep3["ok"] and rep5["ok"]
     n3 = sum(1 for v in rep3["powers"].values() if v)
     n5 = sum(1 for v in rep5["powers"].values() if v)

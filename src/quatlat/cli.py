@@ -44,6 +44,9 @@ def _load_lattice(arg: str) -> Presentation:
     )
 
 
+_REMAP_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+
+
 def _parse_remap(arg: str | None):
     # format: "0,+;1,+;3,+;2,-"
     if not arg:
@@ -51,7 +54,10 @@ def _parse_remap(arg: str | None):
     out = []
     for part in arg.split(";"):
         slot, sign = part.split(",")
-        out.append((int(slot), 1 if sign.strip() in ("+", "+1", "1") else -1))
+        try:
+            out.append((int(slot), _REMAP_SIGNS[sign.strip()]))
+        except KeyError:
+            raise ValueError(f"remap sign {sign!r} is not one of {', '.join(_REMAP_SIGNS)}") from None
     return tuple(out)
 
 
@@ -182,7 +188,13 @@ def cmd_parikh(args) -> int:
     return 0
 
 
-def _expected_from_descriptor(descriptor, pres, args, spec):
+def _power_diagonal(descriptor: str) -> parikh.PowerDiagonal:
+    # format: "power-diagonal:m=9,d=4"
+    kv = dict(part.split("=") for part in descriptor.split(":", 1)[1].split(","))
+    return parikh.PowerDiagonal(int(kv["m"]), int(kv.get("d", 4)))
+
+
+def _expected_from_descriptor(descriptor, pres, args):
     if descriptor == "registry":
         key = f"{args.lattice}/{args.words}"
         try:
@@ -191,8 +203,7 @@ def _expected_from_descriptor(descriptor, pres, args, spec):
             raise ValueError(f"no registered expected set for {key!r}") from None
     if descriptor.startswith("power-diagonal"):
         if ":" in descriptor:
-            kv = dict(part.split("=") for part in descriptor.split(":", 1)[1].split(","))
-            return parikh.PowerDiagonal(int(kv["m"]), int(kv.get("d", 4)))
+            return _power_diagonal(descriptor)
         tokens = [w for w in args.words.split(";")]
         return parikh.power_diagonal_prediction(pres, tokens)
     if os.path.exists(descriptor):
@@ -213,7 +224,7 @@ def cmd_compare(args) -> int:
         spec = _spec_from_args(pres, args)
     if args.bound is None:
         raise ValueError("--bound is required without a registry entry")
-    expected = _expected_from_descriptor(args.expected, pres, args, spec)
+    expected = _expected_from_descriptor(args.expected, pres, args)
     points = parikh.enumerate_parikh(pres, spec, args.bound, jobs=args.jobs)
     report = parikh.compare(points, expected, args.bound)
     _dump(
@@ -231,8 +242,7 @@ def cmd_compare(args) -> int:
 
 def cmd_growth(args) -> int:
     if args.set.startswith("power-diagonal:"):
-        kv = dict(part.split("=") for part in args.set.split(":", 1)[1].split(","))
-        obj = parikh.PowerDiagonal(int(kv["m"]), int(kv.get("d", 4)))
+        obj = _power_diagonal(args.set)
     elif args.set == "registry":
         key = f"{args.lattice}/{args.words}"
         obj = presets.EXAMPLES[key].expected
@@ -281,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--words", required=True, help="semicolon-separated block words")
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--signed", action="store_true")
-    p.add_argument("--remap", help="output remap like '0,+;1,+;3,+;2,-'")
+    p.add_argument("--remap", help="output remap like '0,+;1,+;3,+;2,-' (signs +, +1, 1, -, -1)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_parikh)

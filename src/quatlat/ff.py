@@ -55,13 +55,16 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int):
     return quot, rem
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
+def _power(one, base, n: int):
+    """base ** n for n >= 0 by square-and-multiply, starting from `one`;
+    serves every multiplicative type in the package."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -271,13 +274,7 @@ class FieldElem:
     def __pow__(self, n: int) -> "FieldElem":
         if n < 0:
             return self.inverse() ** (-n)
-        result, base = self.field.one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self.field.one, self, n)
 
     def __eq__(self, other):
         if self is other:
@@ -455,13 +452,7 @@ class QuadElem:
     def __pow__(self, n: int) -> "QuadElem":
         if n < 0:
             return self.inverse() ** (-n)
-        result, base = self.ext.one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self.ext.one, self, n)
 
     def __eq__(self, other):
         if self is other:

@@ -24,7 +24,6 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 from .ff import Field, FieldElem, QuadExt, QuadElem, norm_fiber
-from .ff import sigma_k as _ext_sigma_k
 from .quat import Poly, QuatAlgebra
 
 
@@ -159,6 +158,20 @@ class Square:
         }
 
 
+def _square_readings(inverse: dict, a, b, b2, a2) -> tuple:
+    """The four swap entries of the square a*b = b2*a2, one per corner it
+    is read from, as (key, value) pairs in reading order 1..4:
+    a*b = b2*a2,  a^-1*b2 = b*a2^-1,  a2*b^-1 = b2^-1*a,
+    a2^-1*b2^-1 = b^-1*a^-1."""
+    ia, ib, ia2, ib2 = inverse[a], inverse[b], inverse[a2], inverse[b2]
+    return (
+        ((a, b), (b2, a2)),
+        ((ia, b2), (b, ia2)),
+        ((a2, ib), (ib2, a)),
+        ((ia2, ib2), (ib, ia)),
+    )
+
+
 class Presentation:
     """An inverse-closed two-alphabet presentation with a total swap map."""
 
@@ -200,14 +213,10 @@ class Presentation:
         for (a, b), (b2, a2) in self.swap.items():
             if a2.side != "A" or b2.side != "B":
                 raise ComplexError(f"swap image of ({a}, {b}) has wrong sides")
-            ia, ib = self.inverse[a], self.inverse[b]
-            ia2, ib2 = self.inverse[a2], self.inverse[b2]
-            if self.swap[(ia, b2)] != (b, ia2):
-                raise ComplexError(f"reading 2 inconsistent at ({a}, {b})")
-            if self.swap[(a2, ib)] != (ib2, a):
-                raise ComplexError(f"reading 3 inconsistent at ({a}, {b})")
-            if self.swap[(ia2, ib2)] != (ib, ia):
-                raise ComplexError(f"reading 4 inconsistent at ({a}, {b})")
+            readings = _square_readings(self.inverse, a, b, b2, a2)
+            for n, (key, value) in enumerate(readings[1:], start=2):
+                if self.swap[key] != value:
+                    raise ComplexError(f"reading {n} inconsistent at ({a}, {b})")
 
     def _collect_squares(self):
         seen = set()
@@ -217,9 +226,7 @@ class Presentation:
         ):
             if (a, b) in seen:
                 continue
-            ia, ib = self.inverse[a], self.inverse[b]
-            ia2, ib2 = self.inverse[a2], self.inverse[b2]
-            seen.update({(a, b), (ia, b2), (a2, ib), (ia2, ib2)})
+            seen.update(key for key, _ in _square_readings(self.inverse, a, b, b2, a2))
             squares.append(Square(a, b, b2, a2, commuting=(b2 == b and a2 == a)))
         return tuple(squares)
 
@@ -341,12 +348,6 @@ def expand_squares(
     alphabet_b = tuple(labels[t] for n in b_names for t in (n, f"{n}^-1"))
 
     swap = {}
-
-    def add(key, value):
-        if key in swap and swap[key] != value:
-            raise ComplexError(f"overlapping squares at {key}")
-        swap[key] = value
-
     for sq in squares:
         try:
             a, b, b2, a2 = (labels[t] for t in sq)
@@ -354,11 +355,9 @@ def expand_squares(
             raise ComplexError(f"square {sq} uses unknown token {exc}") from None
         if a.side != "A" or a2.side != "A" or b.side != "B" or b2.side != "B":
             raise ComplexError(f"square {sq} has letters on the wrong sides")
-        ia, ib, ia2, ib2 = inverse[a], inverse[b], inverse[a2], inverse[b2]
-        add((a, b), (b2, a2))
-        add((ia, b2), (b, ia2))
-        add((a2, ib), (ib2, a))
-        add((ia2, ib2), (ib, ia))
+        for key, value in _square_readings(inverse, a, b, b2, a2):
+            if swap.setdefault(key, value) != value:
+                raise ComplexError(f"overlapping squares at {key}")
     expected = len(alphabet_a) * len(alphabet_b)
     if len(swap) != expected:
         raise ComplexError(f"incomplete complex: {len(swap)} of {expected} pairs covered")
@@ -374,10 +373,6 @@ def compute_k_tau(params: LatticeParams) -> int:
         if u ** ((field.p**k - 1) // 2) == one:
             return k
     raise SquareSolveError("k_tau not found below the guaranteed bound")
-
-
-def sigma_k(params: LatticeParams, xi: QuadElem, k: int) -> QuadElem:
-    return _ext_sigma_k(params.ext, xi, k)
 
 
 def oracle_check_table(pres: Presentation) -> dict:
@@ -481,6 +476,8 @@ def check_finite_lemmas(pres: Presentation, powers=(1, 2, 3, 4)) -> dict:
 
     if pres.kind != "parametric":
         raise ParameterMismatchError("finite lemma checks need a parametric lattice")
+    if any(n < 0 for n in powers):
+        raise ValueError(f"powers must be >= 0, got {tuple(powers)}")
     p = pres.params.field.p
     failures = []
     entries = []

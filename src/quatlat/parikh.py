@@ -10,6 +10,10 @@ still contribute; that bound is what makes bound 30 at four blocks
 instant.  Disabling pruning gives the brute-force oracle the pruned
 search is checked against.
 
+The search is split by the exponent of the first block: each task
+builds that block's power and walks the subtree under it.  With jobs=1
+the tasks run in turn in-process; with more, a process pool runs them.
+
 Signed specs range exponents over [-N, N] by substituting inverted
 blocks.  A spec may carry a signed permutation remapping block
 exponents to reported coordinates, for languages stated as a two-sided
@@ -69,7 +73,8 @@ class BoundedLanguageSpec:
         return tuple(exps)
 
 
-def _search(pres, spec, bound, prune, first_exp=None):
+def _search(pres, spec, bound, prune, first_exp):
+    """The points whose first block has exponent first_exp."""
     blocks = spec.words
     d = len(blocks)
     rem = [0] * (d + 1)
@@ -104,12 +109,6 @@ def _search(pres, spec, bound, prune, first_exp=None):
                     rec(i + 1, cu, cv)
             exps[i] = 0
 
-    if first_exp is None:
-        rec(0, (), ())
-        return out
-
-    # parallel partitioning: run only the subtree under exponent
-    # first_exp of block 0
     u, v = (), ()
     w = blocks[0] if first_exp >= 0 else pres.invert_word(blocks[0])
     for _ in range(abs(first_exp)):
@@ -137,18 +136,16 @@ def enumerate_parikh(
     identity, sorted lexicographically."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    if jobs <= 1 or bound == 0:
-        points = _search(pres, spec, bound, prune)
+    firsts = list(range(bound + 1))
+    if spec.signed:
+        firsts += [-e for e in range(1, bound + 1)]
+    tasks = [(pres, spec, bound, prune, e) for e in firsts]
+    if jobs <= 1:
+        chunks = map(_worker, tasks)
     else:
-        firsts = list(range(bound + 1))
-        if spec.signed:
-            firsts += [-e for e in range(1, bound + 1)]
-        tasks = [(pres, spec, bound, prune, e) for e in firsts]
-        points = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_worker, tasks):
-                points.extend(chunk)
-    return tuple(sorted(set(points)))
+            chunks = list(pool.map(_worker, tasks))
+    return tuple(sorted({p for chunk in chunks for p in chunk}))
 
 
 def membership(pres: Presentation, spec: BoundedLanguageSpec, point) -> bool:

@@ -18,7 +18,7 @@ a scalar).
 
 from __future__ import annotations
 
-from .ff import Field, FieldElem, QuadExt, QuadElem, sigma_k
+from .ff import Field, FieldElem, QuadExt, QuadElem, _power, sigma_k
 
 
 class NonInvertibleError(ZeroDivisionError):
@@ -108,14 +108,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(Poly.const(self.field, 1), self, n)
 
     def __divmod__(self, other):
         other = _as_poly(self.field, other)
@@ -400,13 +393,7 @@ class Quat:
     def __pow__(self, n: int) -> "Quat":
         if n < 0:
             return self.inverse() ** (-n)
-        result, base = self.algebra.one, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self.algebra.one, self, n)
 
     def is_scalar(self) -> bool:
         return all(c.is_zero() for c in self.coords[1:])
@@ -504,22 +491,6 @@ class ProjQuat:
         return f"[{self.lift()!r}]"
 
 
-def quat_mul(x: Quat, y: Quat) -> Quat:
-    return x * y
-
-
-def quat_inv(x: Quat) -> Quat:
-    return x.inverse()
-
-
-def embed_generator(xi: QuadElem, f, ext: QuadExt) -> ProjQuat:
-    return QuatAlgebra(ext).generator(xi, f)
-
-
-def proj_eq(x: ProjQuat, y: ProjQuat) -> bool:
-    return x == y
-
-
 def verify_power_lemma(algebra: QuatAlgebra, xi: QuadElem, f, k: int) -> bool:
     """Check a_xi(f)^(p^k) against the closed form a_xi'(g) with
     xi' the norm-twisted scaling of xi and g = f^(p^k) / (t(t-1))^((p^k-1)/2).
@@ -568,14 +539,6 @@ class Mat3:
                 row.append(acc)
             rows.append(row)
         return Mat3(self.field, rows)
-
-    def det(self) -> RatFun:
-        r = self.rows
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
 
     def adjugate(self) -> "Mat3":
         r = self.rows

@@ -60,26 +60,15 @@ def free_reduce(pres: Presentation, w: Word) -> Word:
     return tuple(out)
 
 
-def _push_through_b(pres, v, g):
-    """Rewrite v * g as g' * v' for an A-letter g and B-word v."""
-    swap_ba = pres.swap_ba
+def _push_through(table, word, g):
+    """Rewrite word * g as g' * word' for a one-sided word and a letter g
+    of the other side; `table` maps (letter of word, g) to the swapped
+    pair, so it is pres.swap for an A-word and pres.swap_ba for a B-word."""
     out = []
     cur = g
-    for b in reversed(v):
-        cur, b2 = swap_ba[(b, cur)]
-        out.append(b2)
-    out.reverse()
-    return cur, tuple(out)
-
-
-def _push_through_a(pres, u, g):
-    """Rewrite u * g as g' * u' for a B-letter g and A-word u."""
-    swap = pres.swap
-    out = []
-    cur = g
-    for a in reversed(u):
-        cur, a2 = swap[(a, cur)]
-        out.append(a2)
+    for letter in reversed(word):
+        cur, l2 = table[(letter, cur)]
+        out.append(l2)
     out.reverse()
     return cur, tuple(out)
 
@@ -93,7 +82,7 @@ def append_letter(pres: Presentation, a_part: Word, b_part: Word, g: GenLabel, o
             if b_part and b_part[-1] == inverse[g]:
                 return a_part, b_part[:-1]
             return a_part, b_part + (g,)
-        g2, b_part = _push_through_b(pres, b_part, g)
+        g2, b_part = _push_through(pres.swap_ba, b_part, g)
         if a_part and a_part[-1] == inverse[g2]:
             return a_part[:-1], b_part
         return a_part + (g2,), b_part
@@ -101,7 +90,7 @@ def append_letter(pres: Presentation, a_part: Word, b_part: Word, g: GenLabel, o
         if a_part and a_part[-1] == inverse[g]:
             return a_part[:-1], b_part
         return a_part + (g,), b_part
-    g2, a_part = _push_through_a(pres, a_part, g)
+    g2, a_part = _push_through(pres.swap, a_part, g)
     if b_part and b_part[-1] == inverse[g2]:
         return a_part, b_part[:-1]
     return a_part, b_part + (g2,)

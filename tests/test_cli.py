@@ -44,6 +44,11 @@ def test_verify_suites(capsys):
     assert data["ok"] and data["suites"]["oracle"]["ok"]
 
 
+def test_verify_rejects_negative_powers(capsys):
+    code, out = run(capsys, "verify", "--lattice", "q3", "--suite", "lemmas", "--powers", "-1")
+    assert code == 2 and out == ""
+
+
 def test_verify_inapplicable_suite(capsys):
     code, _ = run(capsys, "verify", "--lattice", "gamma32", "--suite", "oracle")
     assert code == 2
@@ -98,6 +103,15 @@ def test_parikh_signed_remap(capsys):
     assert code == 0
     points = [tuple(p) for p in json.loads(out)["points"]]
     assert (3, -3, -3, 3) in points and (1, 1, 1, 1) in points
+
+
+def test_parikh_remap_signs(capsys):
+    argv = ("parikh", "--lattice", "gamma3", "--words", "a;x;b;x", "--bound", "2", "--signed", "--remap")
+    code, short = run(capsys, *argv, "0,+;1,+;3,+;2,-")
+    assert code == 0
+    assert run(capsys, *argv, "0,+1;1,1;3,+;2,-1") == (0, short)
+    code, out = run(capsys, *argv, "0,+;1,+;3,+;2,banana")
+    assert code == 2 and out == ""
 
 
 def test_compare_registry(capsys):

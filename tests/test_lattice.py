@@ -1,5 +1,6 @@
 import pytest
 
+from quatlat import ff
 from quatlat.ff import Field, QuadExt, find_nonsquare, norm_fiber
 from quatlat.lattice import (
     ComplexError,
@@ -19,7 +20,6 @@ from quatlat.lattice import (
     oracle_check_table,
     phi_k_map,
     presentation_from_json,
-    sigma_k,
     solve_square,
     verify_homomorphism,
 )
@@ -159,8 +159,8 @@ def test_sigma_k_on_b_fiber(q3):
     # sigma_1 multiplies the B fiber by (tau/(tau-1))^((p-1)/2) = -1
     _, fb = build_generators(q3)
     for eta in fb:
-        assert sigma_k(q3, eta, 1) == -eta
-        assert sigma_k(q3, eta, 2) == eta
+        assert ff.sigma_k(q3.ext, eta, 1) == -eta
+        assert ff.sigma_k(q3.ext, eta, 2) == eta
 
 
 def test_sigma_k_lands_in_shifted_fiber():
@@ -173,7 +173,7 @@ def test_sigma_k_lands_in_shifted_fiber():
     assert tau3 != tau
     target3 = ext.c * tau3 / (field.one - tau3)
     for eta in norm_fiber(ext, params.b_norm_target):
-        assert sigma_k(params, eta, 1).norm() == target3
+        assert ff.sigma_k(params.ext, eta, 1).norm() == target3
 
 
 def test_compute_k_tau_examples(q3, q5):

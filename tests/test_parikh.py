@@ -102,6 +102,13 @@ def test_jobs_deterministic(g3):
     assert seq == par
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("words,signed", [("a;x;b^-1;x", False), ("a;x;b;x", True)])
+def test_bound_zero_gives_only_the_zero_tuple(g3, words, signed, jobs):
+    spec = spec_of(g3, words, signed=signed)
+    assert enumerate_parikh(g3, spec, 0, jobs=jobs) == ((0, 0, 0, 0),)
+
+
 def test_example_registry_passes():
     for key, ex in EXAMPLES.items():
         pres = get_presentation(ex.lattice)

@@ -29,6 +29,43 @@ def alg5():
     return QuatAlgebra(QuadExt(field, field.element(2)))
 
 
+def _power_cases():
+    f7, f9, f3, f5 = make_field(7), make_field(3, 2), make_field(3), make_field(5)
+    ext5, ext3 = QuadExt(f5, f5.element(2)), QuadExt(f3, f3.element(-1))
+    alg = QuatAlgebra(ext3)
+    gen = alg.generator_quat(ext3.element(1))
+    return {
+        "FieldElem e=1": (f7.element(3), f7.one),
+        "FieldElem e=2": (f9.element((1, 1)), f9.one),
+        "QuadElem": (ext5.element(1, 3), ext5.one),
+        "Quat q=3": (gen, alg.one),
+        "ProjQuat q=3": (gen.projective(), alg.one.projective()),
+    }
+
+
+POWER_CASES = _power_cases()
+
+
+@pytest.mark.parametrize("n", [-2, 0, 1, 5])
+@pytest.mark.parametrize("kind", sorted(POWER_CASES))
+def test_power_matches_repeated_multiplication(kind, n):
+    x, one = POWER_CASES[kind]
+    base = x if n >= 0 else x.inverse()
+    want = one
+    for _ in range(abs(n)):
+        want = want * base
+    assert x**n == want
+
+
+def test_poly_power():
+    field = make_field(3)
+    t = Poly.t(field)
+    assert t**0 == Poly.const(field, 1)
+    assert t**5 == t * t * t * t * t
+    with pytest.raises(ValueError):
+        t**-1
+
+
 def rand_poly(rng, field, deg):
     return Poly(field, [rng.randrange(field.p) for _ in range(deg + 1)])
 
