@@ -53,11 +53,17 @@ def _parse_remap(arg: str | None):
         return None
     out = []
     for part in arg.split(";"):
-        slot, sign = part.split(",")
         try:
-            out.append((int(slot), _REMAP_SIGNS[sign.strip()]))
+            slot, sign = part.split(",")
+            slot = int(slot)
+        except ValueError:
+            raise ValueError(
+                f"--remap {arg!r} is not a list of slot,sign pairs like 0,+;1,+;3,+;2,-"
+            ) from None
+        try:
+            out.append((slot, _REMAP_SIGNS[sign.strip()]))
         except KeyError:
-            raise ValueError(f"remap sign {sign!r} is not one of {', '.join(_REMAP_SIGNS)}") from None
+            raise ValueError(f"--remap sign {sign!r} is not one of {', '.join(_REMAP_SIGNS)}") from None
     return tuple(out)
 
 
@@ -188,10 +194,17 @@ def cmd_parikh(args) -> int:
     return 0
 
 
-def _power_diagonal(descriptor: str) -> parikh.PowerDiagonal:
-    # format: "power-diagonal:m=9,d=4"
-    kv = dict(part.split("=") for part in descriptor.split(":", 1)[1].split(","))
-    return parikh.PowerDiagonal(int(kv["m"]), int(kv.get("d", 4)))
+def _power_diagonal(flag: str, descriptor: str) -> parikh.PowerDiagonal:
+    # format: "power-diagonal:m=9,d=4", d optional
+    usage = f"{flag} {descriptor!r} is not of the form power-diagonal:m=..,d=.."
+    try:
+        kv = dict(part.split("=") for part in descriptor.split(":", 1)[1].split(","))
+        m, d = int(kv.pop("m")), int(kv.pop("d", 4))
+    except (ValueError, KeyError):
+        raise ValueError(usage) from None
+    if kv:
+        raise ValueError(usage)
+    return parikh.PowerDiagonal(m, d)
 
 
 def _expected_from_descriptor(descriptor, pres, args):
@@ -203,7 +216,7 @@ def _expected_from_descriptor(descriptor, pres, args):
             raise ValueError(f"no registered expected set for {key!r}") from None
     if descriptor.startswith("power-diagonal"):
         if ":" in descriptor:
-            return _power_diagonal(descriptor)
+            return _power_diagonal("--expected", descriptor)
         tokens = [w for w in args.words.split(";")]
         return parikh.power_diagonal_prediction(pres, tokens)
     if os.path.exists(descriptor):
@@ -242,7 +255,7 @@ def cmd_compare(args) -> int:
 
 def cmd_growth(args) -> int:
     if args.set.startswith("power-diagonal:"):
-        obj = _power_diagonal(args.set)
+        obj = _power_diagonal("--set", args.set)
     elif args.set == "registry":
         key = f"{args.lattice}/{args.words}"
         obj = presets.EXAMPLES[key].expected

@@ -42,15 +42,21 @@ class ParameterMismatchError(ValueError):
 
 class GenLabel:
     """A generator letter: side 'A' or 'B', a stable name, an inversion
-    flag for named lattices, and the fiber index for parametric ones."""
+    flag for named lattices, and the fiber index for parametric ones.
 
-    __slots__ = ("side", "name", "inv", "index", "_hash")
+    `code` is the letter's position in its presentation's
+    alphabet_a + alphabet_b, set once when that presentation is built;
+    the rewriting core indexes the flat swap tables with it.  Equality
+    and hashing ignore it."""
+
+    __slots__ = ("side", "name", "inv", "index", "code", "_hash")
 
     def __init__(self, side: str, name: str, inv: bool = False, index: QuadElem | None = None):
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "code", None)
         object.__setattr__(self, "_hash", hash((side, name, inv)))
 
     def __setattr__(self, *_):
@@ -75,7 +81,10 @@ class GenLabel:
         return self._hash
 
     def __reduce__(self):
-        return (GenLabel, (self.side, self.name, self.inv, self.index))
+        return (GenLabel, (self.side, self.name, self.inv, self.index), self.code)
+
+    def __setstate__(self, code):
+        object.__setattr__(self, "code", code)
 
     def to_json(self) -> dict:
         if self.index is not None:
@@ -173,7 +182,13 @@ def _square_readings(inverse: dict, a, b, b2, a2) -> tuple:
 
 
 class Presentation:
-    """An inverse-closed two-alphabet presentation with a total swap map."""
+    """An inverse-closed two-alphabet presentation with a total swap map.
+
+    `swap` is the table as a dict, read by validation, the algebra
+    oracle and JSON.  The rewriting core reads the same table as two flat
+    lists indexed by letter.code * n + cur.code, with n the number of
+    letters: `_push_b` takes (A letter, B letter) to the pair (b', a') of
+    a*b = b'*a', and `_push_a` takes (b', a') back to (a, b)."""
 
     def __init__(
         self,
@@ -190,13 +205,23 @@ class Presentation:
         self.alphabet_b = tuple(alphabet_b)
         self.inverse = inverse
         self.swap = swap
-        self.swap_ba = {v: k for k, v in swap.items()}
         self.params = params
         self.name = name
-        self.by_token = {l.token(): l for l in self.alphabet_a + self.alphabet_b}
+        letters = self.alphabet_a + self.alphabet_b
+        self.by_token = {l.token(): l for l in letters}
         self.k_tau = compute_k_tau(params) if kind == "parametric" else None
+        for code, l in enumerate(letters):
+            if l.code not in (None, code):
+                raise ComplexError(f"letter {l} already has code {l.code} in another presentation")
+            object.__setattr__(l, "code", code)
         self._validate()
         self.squares = self._collect_squares()
+        n = self._n_codes = len(letters)
+        self._push_b = [None] * (n * n)
+        self._push_a = [None] * (n * n)
+        for (a, b), (b2, a2) in swap.items():
+            self._push_b[a.code * n + b.code] = (b2, a2)
+            self._push_a[b2.code * n + a2.code] = (a, b)
 
     def _validate(self):
         la, lb = self.alphabet_a, self.alphabet_b

@@ -7,8 +7,13 @@ incremental two-sided normal form.  Each appended letter changes the
 normal-form length by exactly one, so a branch dies as soon as the
 current length exceeds the number of letters the remaining blocks can
 still contribute; that bound is what makes bound 30 at four blocks
-instant.  Disabling pruning gives the brute-force oracle the pruned
-search is checked against.
+instant.  The last block is not walked: a prefix with normal form F
+closes to the identity under w_d^e exactly when F is the normal form of
+w_d^-e, so one table from those forms to their exponents (a list, since
+a block that freely reduces to the identity gives every e one form)
+resolves it with a single lookup.  Disabling pruning gives the
+brute-force oracle the pruned search is checked against: it walks every
+block, the last one too, letter by letter.
 
 The search is split by the exponent of the first block: each task
 builds that block's power and walks the subtree under it.  With jobs=1
@@ -73,13 +78,38 @@ class BoundedLanguageSpec:
         return tuple(exps)
 
 
-def _search(pres, spec, bound, prune, first_exp):
-    """The points whose first block has exponent first_exp."""
+def _last_block_table(pres, spec, bound):
+    """Map the AB normal form (a_part, b_part) of w_d^-e to the list of
+    exponents e in range, w_d being the last block.  The forms are filed
+    under their shape (len(a_part), len(b_part)), which is cheap to hash,
+    so a prefix of any other shape costs no hashing of its letters."""
+    w = spec.words[-1]
+    table: dict = {(0, 0): {((), ()): [0]}}
+    directions = [(pres.invert_word(w), 1)]
+    if spec.signed:
+        directions.append((w, -1))
+    for dw, sign in directions:
+        u, v = (), ()
+        for e in range(1, bound + 1):
+            for g in dw:
+                u, v = append_letter(pres, u, v, g)
+            table.setdefault((len(u), len(v)), {}).setdefault((u, v), []).append(sign * e)
+    return table
+
+
+def _search(pres, spec, bound, first_exp, last_block):
+    """The points whose first block has exponent first_exp.  With a
+    last-block table the search is pruned and ends one block early;
+    without one it is the brute-force walk."""
+    prune = last_block is not None
     blocks = spec.words
     d = len(blocks)
     rem = [0] * (d + 1)
     for i in range(d - 1, -1, -1):
         rem[i] = rem[i + 1] + bound * len(blocks[i])
+    directions = []
+    for w in blocks:
+        directions.append([(w, 1)] + ([(pres.invert_word(w), -1)] if spec.signed else []))
     out = []
     exps = [0] * d
 
@@ -88,15 +118,17 @@ def _search(pres, spec, bound, prune, first_exp):
             if not u and not v:
                 out.append(spec.point_from_exponents(exps))
             return
-        w = blocks[i]
+        if prune and i == d - 1:
+            forms = last_block.get((len(u), len(v)))
+            for e in forms.get((u, v), ()) if forms else ():
+                exps[i] = e
+                out.append(spec.point_from_exponents(exps))
+            return
         limit = rem[i + 1]
         exps[i] = 0
         if not prune or len(u) + len(v) <= limit:
             rec(i + 1, u, v)
-        directions = [(w, 1)]
-        if spec.signed:
-            directions.append((pres.invert_word(w), -1))
-        for dw, sign in directions:
+        for dw, sign in directions[i]:
             cu, cv = u, v
             for e in range(1, bound + 1):
                 for g in dw:
@@ -110,7 +142,7 @@ def _search(pres, spec, bound, prune, first_exp):
             exps[i] = 0
 
     u, v = (), ()
-    w = blocks[0] if first_exp >= 0 else pres.invert_word(blocks[0])
+    w = directions[0][0 if first_exp >= 0 else 1][0]
     for _ in range(abs(first_exp)):
         for g in w:
             u, v = append_letter(pres, u, v, g)
@@ -139,7 +171,8 @@ def enumerate_parikh(
     firsts = list(range(bound + 1))
     if spec.signed:
         firsts += [-e for e in range(1, bound + 1)]
-    tasks = [(pres, spec, bound, prune, e) for e in firsts]
+    last_block = _last_block_table(pres, spec, bound) if prune else None
+    tasks = [(pres, spec, bound, e, last_block) for e in firsts]
     if jobs <= 1:
         chunks = map(_worker, tasks)
     else:
@@ -295,6 +328,8 @@ class PowerDiagonal:
         return frozenset(pts)
 
     def growth(self, n: int) -> int:
+        if n < 0:
+            raise ValueError(f"growth needs n >= 0, got {n}")
         count, val = 1, 1
         while val <= n:
             count += 1
@@ -316,6 +351,8 @@ def expected_points(expected, n: int) -> frozenset:
 
 def growth(obj, n: int) -> int:
     """Number of member tuples with all |coordinates| <= n."""
+    if n < 0:
+        raise ValueError(f"growth needs n >= 0, got {n}")
     if isinstance(obj, PowerDiagonal):
         return obj.growth(n)
     if hasattr(obj, "enumerate_box"):

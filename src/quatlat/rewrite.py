@@ -9,6 +9,12 @@ current form is pushed through the other component one swap at a time
 (each swap replaces one letter and preserves counts), then freely
 reduced into its own component, so the total length never increases.
 
+The swap table is a bireversible Mealy automaton: the pushed letter is
+its state, the letters of the component are its input.  Each swap reads
+one of the presentation's two flat transition lists (one per side of the
+pushed letter) at letter.code * n + state.code, so no label is hashed on
+the way through; `pres.swap`, the dict form, stays the source of truth.
+
 The word problem is: both components empty.  Words are plain tuples of
 labels; the table is never mutated, so everything here is safe to call
 concurrently.
@@ -60,14 +66,15 @@ def free_reduce(pres: Presentation, w: Word) -> Word:
     return tuple(out)
 
 
-def _push_through(table, word, g):
+def _push_through(table, n, word, g):
     """Rewrite word * g as g' * word' for a one-sided word and a letter g
-    of the other side; `table` maps (letter of word, g) to the swapped
-    pair, so it is pres.swap for an A-word and pres.swap_ba for a B-word."""
+    of the other side; `table` holds the swapped pair of (letter of word,
+    g) at letter.code * n + g.code, so it is pres._push_b for an A-word
+    and pres._push_a for a B-word."""
     out = []
     cur = g
     for letter in reversed(word):
-        cur, l2 = table[(letter, cur)]
+        cur, l2 = table[letter.code * n + cur.code]
         out.append(l2)
     out.reverse()
     return cur, tuple(out)
@@ -82,7 +89,7 @@ def append_letter(pres: Presentation, a_part: Word, b_part: Word, g: GenLabel, o
             if b_part and b_part[-1] == inverse[g]:
                 return a_part, b_part[:-1]
             return a_part, b_part + (g,)
-        g2, b_part = _push_through(pres.swap_ba, b_part, g)
+        g2, b_part = _push_through(pres._push_a, pres._n_codes, b_part, g)
         if a_part and a_part[-1] == inverse[g2]:
             return a_part[:-1], b_part
         return a_part + (g2,), b_part
@@ -90,7 +97,7 @@ def append_letter(pres: Presentation, a_part: Word, b_part: Word, g: GenLabel, o
         if a_part and a_part[-1] == inverse[g]:
             return a_part[:-1], b_part
         return a_part + (g,), b_part
-    g2, a_part = _push_through(pres.swap, a_part, g)
+    g2, a_part = _push_through(pres._push_b, pres._n_codes, a_part, g)
     if b_part and b_part[-1] == inverse[g2]:
         return a_part, b_part[:-1]
     return a_part, b_part + (g2,)

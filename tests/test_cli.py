@@ -220,6 +220,38 @@ def test_growth_registry(capsys):
     assert json.loads(out)["growth"] == 6
 
 
+def test_growth_rejects_negative_n(capsys):
+    code = main(["growth", "--set", "power-diagonal:m=9,d=4", "--n", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "n >= 0" in captured.err
+
+
+def test_malformed_power_diagonal_names_the_flag(capsys):
+    for argv, flag in (
+        (["growth", "--set", "power-diagonal:m", "--n", "5"], "--set"),
+        (["growth", "--set", "power-diagonal:m=9,q=4", "--n", "5"], "--set"),
+        (
+            ["compare", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "3",
+             "--expected", "power-diagonal:m"],
+            "--expected",
+        ),
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert flag in err and "m=..,d=.." in err, err
+
+
+def test_malformed_remap_names_the_flag(capsys):
+    argv = ["parikh", "--lattice", "gamma3", "--words", "a;x;b;x", "--bound", "2", "--signed", "--remap"]
+    for remap in ("0", "0,+;1", "x,+;1,+;2,+;3,+"):
+        code = main(argv + [remap])
+        err = capsys.readouterr().err
+        assert code == 2, remap
+        assert "--remap" in err and "slot,sign" in err, err
+
+
 def test_bad_lattice_argument(capsys):
     code, _ = run(capsys, "verify", "--lattice", "nope", "--suite", "oracle")
     assert code == 2

@@ -103,6 +103,52 @@ def test_jobs_deterministic(g3):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize(
+    "lattice,words",
+    [
+        ("gamma3", "a;x;a,a^-1"),  # the last block freely reduces to the identity
+        ("gamma3", "a"),
+        ("gamma3", "a;a^-1"),
+        ("gamma3", "a,x;b"),
+        ("q5", "A0;B0;A1,B1"),
+    ],
+)
+def test_last_block_lookup_matches_bruteforce(lattice, words, signed, jobs):
+    pres = get_presentation(lattice)
+    spec = spec_of(pres, words, signed=signed)
+    brute = enumerate_parikh(pres, spec, 5, prune=False)
+    assert enumerate_parikh(pres, spec, 5, jobs=jobs) == brute
+
+
+def test_search_and_normal_form_use_the_module_bindings(monkeypatch, g3):
+    """The benchmark's per-layer tracing wraps append_letter where the
+    search (quatlat.parikh) and normal_form (quatlat.rewrite) look it up;
+    a fast path that bypassed either binding would zero its counters."""
+    import quatlat.parikh
+    import quatlat.rewrite
+
+    calls = {"parikh": 0, "rewrite": 0}
+
+    def counting(module, key):
+        original = module.append_letter
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "append_letter", wrapper)
+
+    counting(quatlat.parikh, "parikh")
+    counting(quatlat.rewrite, "rewrite")
+    word = parse_word(g3, "a,x,b^-1,x")
+    quatlat.rewrite.normal_form(g3, word)
+    assert calls == {"parikh": 0, "rewrite": len(word)}
+    enumerate_parikh(g3, spec_of(g3, "a;x;b^-1;x"), 6, jobs=1)
+    assert calls["parikh"] > 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("words,signed", [("a;x;b^-1;x", False), ("a;x;b;x", True)])
 def test_bound_zero_gives_only_the_zero_tuple(g3, words, signed, jobs):
     spec = spec_of(g3, words, signed=signed)
@@ -179,6 +225,11 @@ def test_growth_examples():
     for m, d in ((9, 4), (3, 2), (5, 4)):
         for j in range(6):
             assert growth(PowerDiagonal(m, d), m**j) == j + 2
+    for obj in (PowerDiagonal(9, 4), LinearSet((0, 0), ((1, 1),)), [(0, 0)]):
+        with pytest.raises(ValueError):
+            growth(obj, -1)
+    with pytest.raises(ValueError):
+        PowerDiagonal(9, 4).growth(-1)
 
 
 def test_growth_membership_vs_expansion():

@@ -1,9 +1,12 @@
 import itertools
+import pickle
 import random
 
 import pytest
 
+from quatlat.ff import Field, QuadExt, find_nonsquare
 from quatlat.lattice import LatticeParams, build_square_table, named_presentation
+from quatlat.presets import get_presentation
 from quatlat.rewrite import (
     MixedSidesError,
     NotApplicableError,
@@ -221,3 +224,72 @@ def test_anti_torus(q5, g3):
 def test_pi_action_rejects_wrong_sides(g3):
     with pytest.raises(MixedSidesError):
         pi_action(g3, parse_word(g3, "x"), parse_word(g3, "a"))
+
+
+@pytest.fixture(scope="module")
+def table_zoo():
+    """Named lattices, the two parametric presets, and one e=2 table."""
+    field = Field(3, 2)
+    q9 = build_square_table(LatticeParams(QuadExt(field, find_nonsquare(field)), field.element((0, 1))))
+    names = ("gamma3", "gamma4", "gamma32", "q3", "q5")
+    return [get_presentation(name) for name in names] + [q9]
+
+
+def reference_normal_form(pres, w, order):
+    """Letter-by-letter normal form read straight off the dicts pres.swap
+    and pres.inverse, as (a_part, b_part)."""
+    unswap = {v: k for k, v in pres.swap.items()}
+    right = order[1]  # the side of the component written on the right
+    parts = {"A": [], "B": []}
+    for g in w:
+        if g.side != right:
+            table = unswap if right == "B" else pres.swap
+            pushed = []
+            for letter in reversed(parts[right]):
+                g, out = table[(letter, g)]
+                pushed.append(out)
+            parts[right] = pushed[::-1]
+        own = parts[g.side]
+        if own and own[-1] == pres.inverse[g]:
+            own.pop()
+        else:
+            own.append(g)
+    return tuple(parts["A"]), tuple(parts["B"])
+
+
+def test_flat_swap_tables_match_the_dict(table_zoo):
+    for pres in table_zoo:
+        letters = pres.alphabet_a + pres.alphabet_b
+        n = len(letters)
+        assert [l.code for l in letters] == list(range(n))
+        for (a, b), (b2, a2) in pres.swap.items():
+            assert pres._push_b[a.code * n + b.code] == (b2, a2)
+            assert pres._push_a[b2.code * n + a2.code] == (a, b)
+        for table in (pres._push_b, pres._push_a):
+            assert sum(entry is not None for entry in table) == len(pres.swap)
+
+
+def test_normal_forms_match_dict_reference(table_zoo):
+    rng = random.Random(47)
+    for pres in table_zoo:
+        for _ in range(60):
+            w = rand_word(rng, pres, rng.randint(0, 30))
+            for order in ("AB", "BA"):
+                nf = normal_form(pres, w, order)
+                assert (nf.a_part, nf.b_part) == reference_normal_form(pres, w, order), pres
+
+
+def test_pickled_presentation_keeps_codes(table_zoo):
+    rng = random.Random(48)
+    for pres in table_zoo:
+        clone = pickle.loads(pickle.dumps(pres))
+        letters = pres.alphabet_a + pres.alphabet_b
+        cloned = clone.alphabet_a + clone.alphabet_b
+        assert [l.code for l in cloned] == [l.code for l in letters]
+        for _ in range(20):
+            w = rand_word(rng, pres, rng.randint(0, 20))
+            word_copy = pickle.loads(pickle.dumps(w))  # pickled apart from the table
+            for order in ("AB", "BA"):
+                nf = normal_form(pres, w, order)
+                assert normal_form(clone, tuple(cloned[l.code] for l in w), order) == nf
+                assert normal_form(pres, word_copy, order) == nf
