@@ -33,15 +33,27 @@ def _load_lattice(arg: str) -> Presentation:
         with open(arg, encoding="utf-8") as fh:
             return lattice.presentation_from_json(json.load(fh))
     if "=" in arg:
-        kv = dict(part.split("=", 1) for part in arg.split(","))
-        params = LatticeParams.make(
-            int(kv["p"]), int(kv.get("e", 1)), int(kv["c"]), int(kv["tau"])
-        )
-        return lattice.build_square_table(params)
+        return lattice.build_square_table(_lattice_params(arg))
     raise ValueError(
         f"--lattice {arg!r} is neither a preset {presets.PRESET_NAMES}, a file, "
         "nor a parameter list like p=5,e=1,c=2,tau=3"
     )
+
+
+def _lattice_params(arg: str) -> LatticeParams:
+    # format: "p=5,e=1,c=2,tau=3", e optional
+    usage = f"--lattice {arg!r} is not a parameter list of the form p=..,e=..,c=..,tau=.. (e optional)"
+    try:
+        pairs = [part.split("=") for part in arg.split(",")]
+        kv = {k: int(v) for k, v in pairs}
+        if len(kv) != len(pairs):
+            raise ValueError("repeated key")
+        p, e, c, tau = kv.pop("p"), kv.pop("e", 1), kv.pop("c"), kv.pop("tau")
+    except (ValueError, KeyError):
+        raise ValueError(usage) from None
+    if kv:
+        raise ValueError(f"{usage}; unknown key {', '.join(sorted(kv))}")
+    return LatticeParams.make(p, e, c, tau)
 
 
 _REMAP_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
@@ -207,13 +219,19 @@ def _power_diagonal(flag: str, descriptor: str) -> parikh.PowerDiagonal:
     return parikh.PowerDiagonal(m, d)
 
 
+def _registered_expected(args):
+    if args.lattice is None or args.words is None:
+        raise ValueError("a registry lookup needs both --lattice and --words")
+    key = f"{args.lattice}/{args.words}"
+    try:
+        return presets.EXAMPLES[key].expected
+    except KeyError:
+        raise ValueError(f"no registered expected set for {key!r}") from None
+
+
 def _expected_from_descriptor(descriptor, pres, args):
     if descriptor == "registry":
-        key = f"{args.lattice}/{args.words}"
-        try:
-            return presets.EXAMPLES[key].expected
-        except KeyError:
-            raise ValueError(f"no registered expected set for {key!r}") from None
+        return _registered_expected(args)
     if descriptor.startswith("power-diagonal"):
         if ":" in descriptor:
             return _power_diagonal("--expected", descriptor)
@@ -257,8 +275,7 @@ def cmd_growth(args) -> int:
     if args.set.startswith("power-diagonal:"):
         obj = _power_diagonal("--set", args.set)
     elif args.set == "registry":
-        key = f"{args.lattice}/{args.words}"
-        obj = presets.EXAMPLES[key].expected
+        obj = _registered_expected(args)
         if callable(obj):
             obj = obj(args.n)
     elif os.path.exists(args.set):

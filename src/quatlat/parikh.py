@@ -327,15 +327,6 @@ class PowerDiagonal:
             val *= self.m
         return frozenset(pts)
 
-    def growth(self, n: int) -> int:
-        if n < 0:
-            raise ValueError(f"growth needs n >= 0, got {n}")
-        count, val = 1, 1
-        while val <= n:
-            count += 1
-            val *= self.m
-        return count
-
 
 def expected_points(expected, n: int) -> frozenset:
     """Normalize a symbolic set, a callable, or a plain collection to the
@@ -353,8 +344,6 @@ def growth(obj, n: int) -> int:
     """Number of member tuples with all |coordinates| <= n."""
     if n < 0:
         raise ValueError(f"growth needs n >= 0, got {n}")
-    if isinstance(obj, PowerDiagonal):
-        return obj.growth(n)
     if hasattr(obj, "enumerate_box"):
         return len(obj.enumerate_box(n))
     return sum(1 for p in obj if all(abs(x) <= n for x in p))

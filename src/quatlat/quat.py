@@ -1,14 +1,17 @@
-"""Exact arithmetic in F_q[t], F_q(t), and the quaternion algebra with
-basis 1, Z, F, ZF over F_q(t), subject to
+"""Exact arithmetic in F_q[t] and in the quaternion algebra with basis
+1, Z, F, ZF over F_q(t), subject to
 
     Z^2 = c,    F^2 = t(t-1),    ZF = -FZ.
 
 Polynomials are little-endian coefficient tuples of field elements with
-no trailing zeros (the zero polynomial is the empty tuple).  Rational
-functions keep a monic denominator coprime to the numerator.  Projective
-classes mod K* = F_q(t)* are canonicalized by clearing denominators,
-dividing the four polynomial coordinates by their gcd, and scaling so
-the first nonzero coordinate is monic; equality is then structural.
+no trailing zeros (the zero polynomial is the empty tuple).  Quaternion
+coordinates are polynomials: every generator c*f + xi*F*Z has polynomial
+coordinates once a rational f is cleared of its denominator, and the
+oracle compares products only mod K* = F_q(t)*.  A projective class is
+content-normalized: the four coordinates are divided by their gcd and
+scaled so the first nonzero one is monic; equality is then structural.
+Rational functions (monic denominator coprime to the numerator) only
+parametrize generators, as in the power lemma's g = f^m / (t(t-1))^k.
 
 The module also carries the fixed 3x3 matrix quadruple over F_3(t)
 whose projective relations match the rank-(2,2) lattice presentation at
@@ -19,10 +22,6 @@ a scalar).
 from __future__ import annotations
 
 from .ff import Field, FieldElem, QuadExt, QuadElem, _power, sigma_k
-
-
-class NonInvertibleError(ZeroDivisionError):
-    """Quaternion with vanishing reduced norm has no inverse."""
 
 
 class Poly:
@@ -214,27 +213,11 @@ class RatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def __add__(self, other):
-        other = as_ratfun(self.field, other)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return self + (-as_ratfun(self.field, other))
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
     def __mul__(self, other):
         if isinstance(other, FieldElem):
             return RatFun(self.num * other, self.den)
         other = as_ratfun(self.field, other)
         return RatFun(self.num * other.num, self.den * other.den)
-
-    def __rmul__(self, other):
-        return self * other
 
     def inverse(self) -> "RatFun":
         if self.is_zero():
@@ -264,9 +247,6 @@ class RatFun:
     def __reduce__(self):
         return (RatFun, (self.num, self.den))
 
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
     def __repr__(self):
         if self.den == Poly.const(self.field, 1):
             return repr(self.num)
@@ -291,17 +271,18 @@ class QuatAlgebra:
         self.field = ext.field
         self.c = ext.c
         self.s = Poly(self.field, (0, -1, 1))  # t(t-1) = t^2 - t
-        zero = RatFun(Poly(self.field))
-        one = RatFun(Poly.const(self.field, 1))
-        self._zero_r, self._one_r = zero, one
-        self.one = Quat(self, (one, zero, zero, zero))
+        self.one = self.element(1)
 
     def element(self, x0, x1=0, x2=0, x3=0) -> "Quat":
         f = self.field
-        return Quat(self, tuple(as_ratfun(f, x) for x in (x0, x1, x2, x3)))
+        return Quat(self, tuple(_as_poly(f, x) for x in (x0, x1, x2, x3)))
 
     def generator_quat(self, xi: QuadElem, f=None) -> "Quat":
-        """c*f(t) + xi*F*Z as an algebra element (xi = u + vZ)."""
+        """c*f(t) + xi*F*Z as an algebra element (xi = u + vZ).
+
+        f is a polynomial or a rational function num/den; the result is
+        the integral representative c*num + den*xi*F*Z, which is exactly
+        c*f + xi*F*Z when f is a polynomial and equals it mod K* always."""
         if xi.is_zero():
             raise ValueError("generator index xi must be nonzero")
         if f is None:
@@ -310,7 +291,7 @@ class QuatAlgebra:
         if f.is_zero():
             raise ValueError("generator parameter f must be nonzero")
         # xi*F*Z = -c*v*F - u*ZF in the 1, Z, F, ZF basis
-        return self.element(f * self.c, 0, -(self.c * xi.v), -xi.u)
+        return self.element(f.num * self.c, 0, f.den * -(self.c * xi.v), f.den * -xi.u)
 
     def generator(self, xi: QuadElem, f=None) -> "ProjQuat":
         return self.generator_quat(xi, f).projective()
@@ -333,7 +314,7 @@ class QuatAlgebra:
 
 
 class Quat:
-    """A quaternion x0 + x1*Z + x2*F + x3*ZF with rational-function coords."""
+    """A quaternion x0 + x1*Z + x2*F + x3*ZF with polynomial coords."""
 
     __slots__ = ("algebra", "coords")
 
@@ -354,9 +335,8 @@ class Quat:
         return Quat(self.algebra, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        if isinstance(other, (RatFun, Poly, FieldElem, int)):
-            k = as_ratfun(self.algebra.field, other)
-            return Quat(self.algebra, tuple(a * k for a in self.coords))
+        if isinstance(other, (Poly, FieldElem, int)):
+            return Quat(self.algebra, tuple(a * other for a in self.coords))
         x0, x1, x2, x3 = self.coords
         y0, y1, y2, y3 = other.coords
         c = self.algebra.c
@@ -368,7 +348,7 @@ class Quat:
         return Quat(self.algebra, (r0, r1, r2, r3))
 
     def __rmul__(self, other):
-        if isinstance(other, (RatFun, Poly, FieldElem, int)):
+        if isinstance(other, (Poly, FieldElem, int)):
             return self * other
         return NotImplemented
 
@@ -376,7 +356,7 @@ class Quat:
         x0, x1, x2, x3 = self.coords
         return Quat(self.algebra, (x0, -x1, -x2, -x3))
 
-    def reduced_norm(self) -> RatFun:
+    def reduced_norm(self) -> Poly:
         prod = self * self.conj()
         assert all(c.is_zero() for c in prod.coords[1:]), "x * conj(x) not scalar"
         return prod.coords[0]
@@ -384,15 +364,9 @@ class Quat:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
 
-    def inverse(self) -> "Quat":
-        n = self.reduced_norm()
-        if n.is_zero():
-            raise NonInvertibleError("reduced norm vanishes")
-        return self.conj() * n.inverse()
-
     def __pow__(self, n: int) -> "Quat":
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative power of a polynomial quaternion")
         return _power(self.algebra.one, self, n)
 
     def is_scalar(self) -> bool:
@@ -428,8 +402,8 @@ class Quat:
 
 
 class ProjQuat:
-    """The class of a quaternion mod K*: denominators cleared, coordinate
-    gcd divided out, first nonzero coordinate monic."""
+    """The class of a quaternion mod K*: coordinate gcd divided out,
+    first nonzero coordinate monic."""
 
     __slots__ = ("algebra", "coords")
 
@@ -438,10 +412,7 @@ class ProjQuat:
             raise ValueError("zero quaternion has no projective class")
         algebra = quat.algebra
         field = algebra.field
-        common = Poly.const(field, 1)
-        for c in quat.coords:
-            common = (common * c.den) // poly_gcd(common, c.den)
-        polys = [c.num * (common // c.den) for c in quat.coords]
+        polys = quat.coords
         g = Poly(field)
         for pl in polys:
             g = poly_gcd(g, pl)
@@ -458,7 +429,7 @@ class ProjQuat:
         raise AttributeError("ProjQuat is immutable")
 
     def lift(self) -> Quat:
-        return Quat(self.algebra, tuple(RatFun(pl) for pl in self.coords))
+        return Quat(self.algebra, self.coords)
 
     def __mul__(self, other: "ProjQuat") -> "ProjQuat":
         return (self.lift() * other.lift()).projective()
@@ -509,14 +480,14 @@ def verify_power_lemma(algebra: QuatAlgebra, xi: QuadElem, f, k: int) -> bool:
 
 
 class Mat3:
-    """3x3 matrix over F_q(t); projective identities via the adjugate."""
+    """3x3 matrix over F_q[t]; projective identities via the adjugate."""
 
     __slots__ = ("field", "rows")
 
     def __init__(self, field: Field, rows):
         object.__setattr__(self, "field", field)
         object.__setattr__(
-            self, "rows", tuple(tuple(as_ratfun(field, x) for x in row) for row in rows)
+            self, "rows", tuple(tuple(_as_poly(field, x) for x in row) for row in rows)
         )
         assert len(self.rows) == 3 and all(len(r) == 3 for r in self.rows)
 
@@ -526,7 +497,7 @@ class Mat3:
     @classmethod
     def from_int_polys(cls, field: Field, rows) -> "Mat3":
         """Entries given as little-endian integer coefficient lists in t."""
-        return cls(field, [[RatFun(Poly(field, e)) for e in row] for row in rows])
+        return cls(field, [[Poly(field, e) for e in row] for row in rows])
 
     def __mul__(self, other: "Mat3") -> "Mat3":
         rows = []

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quatlat.cli import main
 
 
@@ -255,6 +257,39 @@ def test_malformed_remap_names_the_flag(capsys):
 def test_bad_lattice_argument(capsys):
     code, _ = run(capsys, "verify", "--lattice", "nope", "--suite", "oracle")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "arg",
+    [
+        "p=5,c",  # a part without '='
+        "p=5,c=2",  # tau missing
+        "p=5,c=x,tau=3",  # not an integer
+        "p=5,c=2,tau=3,z=1",  # unknown key
+        "p=5,c=2,tau=3,c=3",  # repeated key
+    ],
+)
+def test_malformed_lattice_parameters_name_the_flag(capsys, arg):
+    code = main(["verify", "--lattice", arg, "--suite", "oracle"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--lattice" in captured.err and "p=..,e=..,c=..,tau=.." in captured.err, captured.err
+
+
+@pytest.mark.parametrize(
+    "flags,needle",
+    [
+        ([], "--lattice and --words"),
+        (["--lattice", "gamma3"], "--lattice and --words"),
+        (["--words", "a;x;b^-1;x"], "--lattice and --words"),
+        (["--lattice", "gamma3", "--words", "a;a;a;a"], "no registered expected set for 'gamma3/a;a;a;a'"),
+    ],
+)
+def test_growth_registry_needs_a_registered_key(capsys, flags, needle):
+    code = main(["growth", "--set", "registry", "--n", "5", *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert needle in captured.err, captured.err
 
 
 def test_jobs_flag(capsys):

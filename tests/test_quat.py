@@ -5,7 +5,6 @@ import pytest
 from quatlat.ff import QuadExt, make_field, norm_fiber
 from quatlat.quat import (
     Mat3,
-    NonInvertibleError,
     Poly,
     QuatAlgebra,
     RatFun,
@@ -50,6 +49,11 @@ POWER_CASES = _power_cases()
 @pytest.mark.parametrize("kind", sorted(POWER_CASES))
 def test_power_matches_repeated_multiplication(kind, n):
     x, one = POWER_CASES[kind]
+    if kind == "Quat q=3" and n < 0:
+        # a polynomial quaternion has no polynomial inverse
+        with pytest.raises(ValueError):
+            x**n
+        return
     base = x if n >= 0 else x.inverse()
     want = one
     for _ in range(abs(n)):
@@ -79,7 +83,7 @@ def rand_ratfun(rng, field, deg=3):
 
 
 def rand_quat(rng, alg, deg=2):
-    return alg.element(*(rand_ratfun(rng, alg.field, deg) for _ in range(4)))
+    return alg.element(*(rand_poly(rng, alg.field, rng.randint(0, deg)) for _ in range(4)))
 
 
 def test_poly_divmod_roundtrip():
@@ -122,11 +126,11 @@ def test_basis_relations(alg3):
     F = alg3.element(0, 0, 1)
     ZF = alg3.element(0, 0, 0, 1)
     assert Z * Z == alg3.element(alg3.c)
-    assert F * F == alg3.element(RatFun(alg3.s))
+    assert F * F == alg3.element(alg3.s)
     assert Z * F == ZF
     assert F * Z == -ZF
     FZ = F * Z
-    assert FZ * FZ == alg3.element(RatFun(alg3.s) * (-alg3.c))
+    assert FZ * FZ == alg3.element(alg3.s * (-alg3.c))
 
 
 def test_unit_and_scalars(alg3):
@@ -135,59 +139,34 @@ def test_unit_and_scalars(alg3):
     assert alg3.one * y == y and y * alg3.one == y
 
 
-def rand_poly_quat(rng, alg, deg=1):
-    f = alg.field
-    return alg.element(
-        *(Poly(f, [rng.randrange(f.p) for _ in range(rng.randint(1, deg + 1))]) for _ in range(4))
-    )
-
-
 def test_associativity_distributivity(alg5):
     rng = random.Random(14)
     for _ in range(500):
-        x, y, z = (rand_poly_quat(rng, alg5) for _ in range(3))
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        assert (x + y) * z == x * z + y * z
-    # a smaller sample through the rational-coordinate path
-    for _ in range(25):
         x, y, z = (rand_quat(rng, alg5, 1) for _ in range(3))
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
+        assert (x + y) * z == x * z + y * z
 
 
 def test_conj_gives_scalar_norm(alg3):
     rng = random.Random(15)
     for _ in range(200):
-        x = rand_quat(rng, alg3, 1) if rng.random() < 0.25 else rand_poly_quat(rng, alg3, 2)
+        x = rand_quat(rng, alg3, rng.choice((1, 2)))
         prod = x * x.conj()
         assert prod.is_scalar()
-
-
-def test_inverse(alg3):
-    rng = random.Random(16)
-    done = 0
-    while done < 25:
-        x = rand_quat(rng, alg3, 1)
-        if x.reduced_norm().is_zero():
-            continue
-        done += 1
-        assert (x * x.inverse()) == alg3.one
-    with pytest.raises(NonInvertibleError):
-        alg3.element(0).inverse()
 
 
 def test_generator_embedding_examples(alg3):
     ext = alg3.ext
     t = Poly.t(alg3.field)
     a = alg3.generator_quat(ext.element(1), t)
-    assert a == alg3.element(RatFun(-t), 0, 0, -1)  # -t + FZ
+    assert a == alg3.element(-t, 0, 0, -1)  # -t + FZ
     x = alg3.generator_quat(ext.element(1, 1), t)
-    assert x == alg3.element(RatFun(-t), 0, 1, -1)  # -t + F + FZ
+    assert x == alg3.element(-t, 0, 1, -1)  # -t + F + FZ
     b = alg3.generator_quat(ext.element(0, -1), t)
-    assert b == alg3.element(RatFun(-t), 0, -1, 0)  # -t - F
+    assert b == alg3.element(-t, 0, -1, 0)  # -t - F
     y = alg3.generator_quat(ext.element(1, -1), t)
-    assert y == alg3.element(RatFun(-t), 0, -1, -1)  # -t - F + FZ
+    assert y == alg3.element(-t, 0, -1, -1)  # -t - F + FZ
 
 
 @pytest.mark.parametrize("p,c,tau", [(3, -1, -1), (5, 2, 3)])
@@ -211,8 +190,8 @@ def test_proj_eq_scaling(alg3):
         x = rand_quat(rng, alg3, 1)
         if x.is_zero():
             continue
-        lam = RatFun(t + Poly.const(alg3.field, 1), t)
-        assert x.projective() == (x * lam).projective()
+        assert x.projective() == (x * (t + Poly.const(alg3.field, 1))).projective()
+        assert x.projective() == (x * alg3.field.element(2)).projective()
 
 
 def test_proj_eq_equivalence(alg3):
@@ -271,7 +250,7 @@ def test_matrix_oracle_negative_control():
     mats = gamma3_matrices()
     field = mats["a"].field
     rows = [list(r) for r in mats["y"].rows]
-    rows[0][2] = rows[0][2] * RatFun(Poly.const(field, -1))  # flip one entry's sign
+    rows[0][2] = rows[0][2] * field.element(-1)  # flip one entry's sign
     broken = dict(mats)
     broken["y"] = Mat3(field, rows)
     assert not gamma3_matrix_oracle(broken)
@@ -298,4 +277,22 @@ def test_quat_json():
     alg = QuatAlgebra(QuadExt(field, field.element(-1)))
     x = alg.generator_quat(alg.ext.element(1, 1))
     data = x.to_json()
-    assert [len(c["num"]) for c in data] == [2, 0, 1, 1]
+    assert [len(c) for c in data] == [2, 0, 1, 1]
+
+
+def test_element_refuses_rational_coordinates(alg3):
+    t = Poly.t(alg3.field)
+    with pytest.raises(TypeError):
+        alg3.element(RatFun(t, t + Poly.const(alg3.field, 1)))
+
+
+def test_rational_generator_is_its_integral_representative(alg5):
+    field, c = alg5.field, alg5.c
+    t = Poly.t(field)
+    # f = t^2 + t + 1 is irreducible over F_5, so f/h is already reduced
+    f, h = t * t + t + Poly.const(field, 1), t + Poly.const(field, 2)
+    xi = norm_fiber(alg5.ext, -c)[0]
+    u, v = xi.u, xi.v
+    want = alg5.element(f * c, 0, h * -(c * v), h * -u)
+    assert alg5.generator_quat(xi, RatFun(f, h)) == want
+    assert alg5.generator(xi, RatFun(f, h)) != alg5.generator(xi, f)
