@@ -1,23 +1,28 @@
 """Parikh images of the word problem cut down to bounded languages
-w1* w2* ... wd*, with exact pruned enumeration and the symbolic set
-machinery to compare against.
+w1* w2* ... wd*, with an exact meet-in-the-middle enumeration and the
+symbolic set machinery to compare against.
 
-The enumeration walks exponent prefixes depth first, carrying the
-incremental two-sided normal form.  Each appended letter changes the
-normal-form length by exactly one, so a branch dies as soon as the
-current length exceeds the number of letters the remaining blocks can
-still contribute; that bound is what makes bound 30 at four blocks
-instant.  The last block is not walked: a prefix with normal form F
-closes to the identity under w_d^e exactly when F is the normal form of
-w_d^-e, so one table from those forms to their exponents (a list, since
-a block that freely reduces to the identity gives every e one form)
-resolves it with a single lookup.  Disabling pruning gives the
-brute-force oracle the pruned search is checked against: it walks every
-block, the last one too, letter by letter.
+w1^e1 ... wd^ed is the identity exactly when the prefix w1^e1 ... wh^eh
+equals the inverted suffix wd^-ed ... w(h+1)^-e(h+1).  The search splits
+the blocks at h = ceil(d/2), walks every inverted suffix once and tables
+its AB normal form against its exponents, then walks every prefix and
+looks its form up; each hit is a point.  Both walks build their forms
+letter by letter with `append_letter`, so the work is O(N^ceil(d/2))
+forms instead of O(N^d), and the table holds O(N^floor(d/2)).  For d = 1
+the suffix is empty and the table holds only the empty form.
 
-The search is split by the exponent of the first block: each task
-builds that block's power and walks the subtree under it.  With jobs=1
-the tasks run in turn in-process; with more, a process pool runs them.
+The table is one dict keyed by the `bytes` of the letter codes of
+a_part + b_part (two bytes a code when the alphabet has over 256
+letters).  A-codes come before B-codes, so a key fixes the split, and it
+hashes in C.  A key holds one exponent tuple; further ones, as when a
+block freely reduces to the identity, go to an overflow dict.  With
+prune=False one walk over all d blocks, keeping the products that reduce
+to the identity, is the brute-force oracle the search is checked against.
+
+With jobs > 1 a pool of at most MAX_WORKERS processes runs the search:
+each builds the table itself and probes its share of the first-block
+exponents, so only points cross between processes.  The brute force
+always runs in-process.
 
 Signed specs range exponents over [-N, N] by substituting inverted
 blocks.  A spec may carry a signed permutation remapping block
@@ -27,11 +32,16 @@ equation rather than an identity word.
 
 from __future__ import annotations
 
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .lattice import Presentation
 from .rewrite import append_letter, is_identity
+
+# workers in the jobs > 1 pool; each holds its own copy of the table
+MAX_WORKERS = 2
 
 
 class HypothesisViolatedError(ValueError):
@@ -78,83 +88,65 @@ class BoundedLanguageSpec:
         return tuple(exps)
 
 
-def _last_block_table(pres, spec, bound):
-    """Map the AB normal form (a_part, b_part) of w_d^-e to the list of
-    exponents e in range, w_d being the last block.  The forms are filed
-    under their shape (len(a_part), len(b_part)), which is cheap to hash,
-    so a prefix of any other shape costs no hashing of its letters."""
-    w = spec.words[-1]
-    table: dict = {(0, 0): {((), ()): [0]}}
-    directions = [(pres.invert_word(w), 1)]
-    if spec.signed:
-        directions.append((w, -1))
-    for dw, sign in directions:
-        u, v = (), ()
+def _products(pres, blocks, bound, u=(), v=(), exps=(), part=0, parts=1):
+    """Yield (a_part, b_part, exps) for every exponent tuple over
+    `blocks`, each a list of (word, sign) directions: the AB normal form
+    of u * v times the product of the blocks' powers.  Only first-block
+    exponents e with e % parts == part are yielded."""
+    if not blocks:
+        yield u, v, exps
+        return
+    rest = blocks[1:]
+    if part == 0:
+        yield from _products(pres, rest, bound, u, v, exps + (0,))
+    for w, sign in blocks[0]:
+        cu, cv = u, v
         for e in range(1, bound + 1):
-            for g in dw:
-                u, v = append_letter(pres, u, v, g)
-            table.setdefault((len(u), len(v)), {}).setdefault((u, v), []).append(sign * e)
-    return table
+            for g in w:
+                cu, cv = append_letter(pres, cu, cv, g)
+            if e % parts == part:
+                yield from _products(pres, rest, bound, cu, cv, exps + (sign * e,))
 
 
-def _search(pres, spec, bound, first_exp, last_block):
-    """The points whose first block has exponent first_exp.  With a
-    last-block table the search is pruned and ends one block early;
-    without one it is the brute-force walk."""
-    prune = last_block is not None
-    blocks = spec.words
-    d = len(blocks)
-    rem = [0] * (d + 1)
-    for i in range(d - 1, -1, -1):
-        rem[i] = rem[i + 1] + bound * len(blocks[i])
-    directions = []
-    for w in blocks:
-        directions.append([(w, 1)] + ([(pres.invert_word(w), -1)] if spec.signed else []))
+def _directions(pres, spec):
+    """Per block, the words whose powers it ranges over, with the sign
+    of the exponent each power stands for."""
+    return tuple(
+        [(w, 1)] + ([(pres.invert_word(w), -1)] if spec.signed else []) for w in spec.words
+    )
+
+
+_code = attrgetter("code")
+
+
+def _key(u, v, wide):
+    """A form's table key: its letter codes, two bytes each if wide."""
+    codes = map(_code, u + v)
+    return array("H", codes).tobytes() if wide else bytes(codes)
+
+
+def _meet(pres, spec, bound, part=0, parts=1):
+    """The points whose first-block exponent e has e % parts == part."""
+    blocks = _directions(pres, spec)
+    h = (len(blocks) + 1) // 2
+    wide = pres._n_codes > 256
+    # w^e inverted is (w^-1)^e, still reported as the exponent e
+    suffix = tuple(
+        [(pres.invert_word(w), sign) for w, sign in block] for block in reversed(blocks[h:])
+    )
+    table, more = {}, {}
+    for u, v, exps in _products(pres, suffix, bound):
+        k, tail = _key(u, v, wide), exps[::-1]
+        if table.setdefault(k, tail) is not tail:
+            more.setdefault(k, []).append(tail)
     out = []
-    exps = [0] * d
-
-    def rec(i, u, v):
-        if i == d:
-            if not u and not v:
-                out.append(spec.point_from_exponents(exps))
-            return
-        if prune and i == d - 1:
-            forms = last_block.get((len(u), len(v)))
-            for e in forms.get((u, v), ()) if forms else ():
-                exps[i] = e
-                out.append(spec.point_from_exponents(exps))
-            return
-        limit = rem[i + 1]
-        exps[i] = 0
-        if not prune or len(u) + len(v) <= limit:
-            rec(i + 1, u, v)
-        for dw, sign in directions[i]:
-            cu, cv = u, v
-            for e in range(1, bound + 1):
-                for g in dw:
-                    cu, cv = append_letter(pres, cu, cv, g)
-                cur = len(cu) + len(cv)
-                if prune and cur - (bound - e) * len(dw) > limit:
-                    break
-                exps[i] = sign * e
-                if not prune or cur <= limit:
-                    rec(i + 1, cu, cv)
-            exps[i] = 0
-
-    u, v = (), ()
-    w = directions[0][0 if first_exp >= 0 else 1][0]
-    for _ in range(abs(first_exp)):
-        for g in w:
-            u, v = append_letter(pres, u, v, g)
-    if prune and len(u) + len(v) > rem[1]:
-        return out
-    exps[0] = first_exp
-    rec(1, u, v)
+    for u, v, exps in _products(pres, blocks[:h], bound, part=part, parts=parts):
+        k = _key(u, v, wide)
+        tail = table.get(k)
+        if tail is not None:
+            out.append(spec.point_from_exponents(exps + tail))
+            out.extend(spec.point_from_exponents(exps + t) for t in more.get(k, ()))
     return out
-
-
-def _worker(args):
-    return _search(*args)
 
 
 def enumerate_parikh(
@@ -165,20 +157,26 @@ def enumerate_parikh(
     jobs: int = 1,
 ) -> tuple:
     """All exponent tuples within the bound whose block product is the
-    identity, sorted lexicographically."""
+    identity, sorted lexicographically.  prune=False is the brute force;
+    jobs > 1 runs the search in a pool of min(jobs, MAX_WORKERS)."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    firsts = list(range(bound + 1))
-    if spec.signed:
-        firsts += [-e for e in range(1, bound + 1)]
-    last_block = _last_block_table(pres, spec, bound) if prune else None
-    tasks = [(pres, spec, bound, e, last_block) for e in firsts]
-    if jobs <= 1:
-        chunks = map(_worker, tasks)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not prune:
+        points = [
+            spec.point_from_exponents(exps)
+            for u, v, exps in _products(pres, _directions(pres, spec), bound)
+            if not u and not v
+        ]
+    elif jobs == 1:
+        points = _meet(pres, spec, bound)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_worker, tasks))
-    return tuple(sorted({p for chunk in chunks for p in chunk}))
+        parts = min(jobs, MAX_WORKERS)
+        args = [(pres,) * parts, (spec,) * parts, (bound,) * parts, range(parts), (parts,) * parts]
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            points = [p for chunk in pool.map(_meet, *args) for p in chunk]
+    return tuple(sorted(points))
 
 
 def membership(pres: Presentation, spec: BoundedLanguageSpec, point) -> bool:

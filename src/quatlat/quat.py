@@ -21,7 +21,7 @@ a scalar).
 
 from __future__ import annotations
 
-from .ff import Field, FieldElem, QuadExt, QuadElem, _power, sigma_k
+from .ff import Field, FieldElem, FieldError, QuadExt, QuadElem, _power, sigma_k
 
 
 class Poly:
@@ -30,11 +30,21 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs=()):
-        cs = tuple(field.element(c) for c in coeffs)
+        self._fill(field, [field.element(c) for c in coeffs])
+
+    @classmethod
+    def _of(cls, field: Field, cs: list) -> "Poly":
+        """A Poly from a list of FieldElems of `field`, as the arithmetic
+        below makes them: trimmed, but not coerced again."""
+        poly = object.__new__(cls)
+        poly._fill(field, cs)
+        return poly
+
+    def _fill(self, field, cs):
         while cs and cs[-1].is_zero():
-            cs = cs[:-1]
+            cs.pop()
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -69,7 +79,7 @@ class Poly:
         if self.is_zero() or self.is_monic():
             return self
         inv = self.lead().inverse()
-        return Poly(self.field, tuple(c * inv for c in self.coeffs))
+        return Poly._of(self.field, [c * inv for c in self.coeffs])
 
     def __add__(self, other):
         other = _as_poly(self.field, other)
@@ -79,17 +89,17 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(self.field, out)
+        return Poly._of(self.field, out)
 
     def __sub__(self, other):
         return self + (-_as_poly(self.field, other))
 
     def __neg__(self):
-        return Poly(self.field, tuple(-c for c in self.coeffs))
+        return Poly._of(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, FieldElem):
-            return Poly(self.field, tuple(c * other for c in self.coeffs))
+            return Poly._of(self.field, [c * other for c in self.coeffs])
         other = _as_poly(self.field, other)
         if self.is_zero() or other.is_zero():
             return Poly(self.field)
@@ -99,7 +109,7 @@ class Poly:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        return Poly._of(self.field, out)
 
     def __rmul__(self, other):
         return self * other
@@ -124,7 +134,7 @@ class Poly:
                 quo[k - dn] = f
                 for i, dc in enumerate(other.coeffs):
                     rem[k - dn + i] = rem[k - dn + i] - f * dc
-        return Poly(self.field, quo), Poly(self.field, rem[:dn])
+        return Poly._of(self.field, quo), Poly._of(self.field, rem[:dn])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -167,6 +177,8 @@ class Poly:
 
 def _as_poly(field: Field, value) -> Poly:
     if isinstance(value, Poly):
+        if value.field != field:
+            raise FieldError("polynomial over a different field")
         return value
     if isinstance(value, (int, FieldElem)):
         return Poly.const(field, value)

@@ -309,6 +309,23 @@ def test_jobs_flag(capsys):
     assert json.loads(out)["points"] == [[0, 0, 0, 0], [1, 1, 1, 1]]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parikh", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "4"),
+        ("compare", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "4"),
+        ("repro",),
+    ],
+)
+def test_jobs_below_one_exits_2(capsys, argv, jobs):
+    code = main([*argv, "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--jobs" in captured.err
+
+
 def test_construct_with_q(capsys):
     # q = 9: coefficient-vector inputs; 1+x is the first non-square
     code, out = run(capsys, "construct", "--q", "9", "--c", "1,1", "--tau", "0,1")

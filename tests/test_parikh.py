@@ -90,8 +90,8 @@ def test_prune_matches_bruteforce_all_examples():
     for key, ex in EXAMPLES.items():
         pres = get_presentation(ex.lattice)
         spec = ex.spec(pres)
-        assert enumerate_parikh(pres, spec, 5, prune=True) == enumerate_parikh(
-            pres, spec, 5, prune=False
+        assert enumerate_parikh(pres, spec, 8, prune=True) == enumerate_parikh(
+            pres, spec, 8, prune=False
         ), key
 
 
@@ -112,13 +112,90 @@ def test_jobs_deterministic(g3):
         ("gamma3", "a;a^-1"),
         ("gamma3", "a,x;b"),
         ("q5", "A0;B0;A1,B1"),
+        ("gamma3", "a;x;a^-1"),
+        ("gamma3", "a;x;b^-1;x;a"),
+        ("gamma4", "b;x;a,a^-1"),  # a suffix form shared by every exponent
     ],
 )
 def test_last_block_lookup_matches_bruteforce(lattice, words, signed, jobs):
+    """The last block sits in the tabled suffix, so it is resolved by a
+    table lookup; the meet-in-the-middle search must equal the brute
+    force for d = 1, 2, 3, 4 and 5."""
     pres = get_presentation(lattice)
     spec = spec_of(pres, words, signed=signed)
     brute = enumerate_parikh(pres, spec, 5, prune=False)
     assert enumerate_parikh(pres, spec, 5, jobs=jobs) == brute
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "words,remap",
+    [
+        ("a;x;b;x", ((0, 1), (1, 1), (3, 1), (2, -1))),
+        ("a;x;a^-1", ((2, -1), (0, 1), (1, 1))),
+        ("a;x;b^-1;x;a", ((4, 1), (3, -1), (2, 1), (1, -1), (0, 1))),
+    ],
+)
+def test_meet_in_the_middle_with_remap_matches_bruteforce(g3, words, remap, jobs):
+    spec = spec_of(g3, words, signed=True, remap=remap)
+    brute = enumerate_parikh(g3, spec, 4, prune=False)
+    assert len(brute) > 1
+    assert enumerate_parikh(g3, spec, 4, jobs=jobs) == brute
+
+
+def test_gamma3_power_diagonal_at_bound_100(g3):
+    points = enumerate_parikh(g3, spec_of(g3, "a;x;b^-1;x"), 100)
+    assert frozenset(points) == PowerDiagonal(9, 4).enumerate_box(100)
+
+
+def test_wide_table_keys_are_exact():
+    """Past 256 letters a code takes two bytes, so distinct code
+    sequences still give distinct keys."""
+    import itertools
+    from types import SimpleNamespace
+
+    from quatlat.parikh import _key
+
+    codes = (0, 1, 255, 256, 257, 65535)
+    words = [w for n in range(4) for w in itertools.product(codes, repeat=n)]
+    keys = {_key(tuple(SimpleNamespace(code=c) for c in w), (), True) for w in words}
+    assert len(keys) == len(words)
+    with pytest.raises(ValueError):
+        _key((SimpleNamespace(code=256),), (), False)  # one byte cannot hold it
+
+
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_jobs_below_one_is_refused(g3, jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        enumerate_parikh(g3, spec_of(g3, "a;x;b^-1;x"), 4, jobs=jobs)
+
+
+def test_pool_never_has_more_than_two_workers(monkeypatch, g3):
+    """A large --jobs must not fork that many processes: the pool is
+    replaced by an in-process stand-in that records its size."""
+    import quatlat.parikh
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(quatlat.parikh, "ProcessPoolExecutor", InProcessPool)
+    spec = spec_of(g3, "a;x;b;x", signed=True)
+    want = enumerate_parikh(g3, spec, 6, jobs=1)
+    for jobs in (2, 3, 1000):
+        assert enumerate_parikh(g3, spec, 6, jobs=jobs) == want
+    assert sizes == [2, 2, 2]
 
 
 def test_search_and_normal_form_use_the_module_bindings(monkeypatch, g3):

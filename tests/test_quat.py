@@ -99,6 +99,30 @@ def test_poly_divmod_roundtrip():
         assert r.degree < b.degree
 
 
+def test_poly_arithmetic_stays_canonical():
+    """Sums, products and quotients are built from their coefficients
+    without coercion; they must still be trimmed, and a polynomial over
+    another field must still be refused."""
+    from quatlat.ff import FieldError
+
+    rng = random.Random(13)
+    field = make_field(5)
+    for _ in range(100):
+        a, b = rand_poly(rng, field, rng.randint(0, 4)), rand_poly(rng, field, rng.randint(0, 4))
+        c = field.element(rng.randrange(5))
+        results = [a + b, a - b, a + (-a), -a, a * b, a * c, a.monic()]
+        if b:
+            results += divmod(a, b)
+        for got in results:
+            assert not got.coeffs or not got.coeffs[-1].is_zero()
+            assert all(c.field == field for c in got.coeffs)
+    other = Poly(make_field(7), (1, 2))
+    for op in (lambda x: x + other, lambda x: x - other, lambda x: x * other, lambda x: divmod(x, other)):
+        for x in (Poly(field), Poly(field, (1, 1))):
+            with pytest.raises(FieldError):
+                op(x)
+
+
 def test_poly_gcd_divides():
     rng = random.Random(12)
     field = make_field(3)
