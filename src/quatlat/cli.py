@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
-            raise ValueError(f"--jobs {args.jobs} is not a positive number of workers")
+            raise ValueError(f"--jobs {args.jobs} is not a positive integer")
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

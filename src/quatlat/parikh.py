@@ -11,18 +11,20 @@ letter by letter with `append_letter`, so the work is O(N^ceil(d/2))
 forms instead of O(N^d), and the table holds O(N^floor(d/2)).  For d = 1
 the suffix is empty and the table holds only the empty form.
 
-The table is one dict keyed by the `bytes` of the letter codes of
-a_part + b_part (two bytes a code when the alphabet has over 256
-letters).  A-codes come before B-codes, so a key fixes the split, and it
-hashes in C.  A key holds one exponent tuple; further ones, as when a
-block freely reduces to the identity, go to an overflow dict.  With
-prune=False one walk over all d blocks, keeping the products that reduce
-to the identity, is the brute-force oracle the search is checked against.
+The table is one dict keyed by a `str` with one character per letter
+code of a_part + b_part.  A-codes come before B-codes, so a key fixes
+the split, and it hashes in C.  A str stores one byte a character while
+the alphabet has at most 256 letters and two up to 65536, so the keys
+stay compact and exact for any alphabet.  A key holds the list of the
+suffix exponents that reach its form; it has more than one when a block
+freely reduces to the identity.  With prune=False one walk over all d
+blocks, keeping the products that reduce to the identity, is the
+brute-force oracle the search is checked against.
 
-With jobs > 1 a pool of at most MAX_WORKERS processes runs the search:
-each builds the table itself and probes its share of the first-block
-exponents, so only points cross between processes.  The brute force
-always runs in-process.
+`jobs` must be at least 1 and does not change the work: every value
+runs the search in this process.  A worker would have to rebuild the
+whole suffix table, so splitting the prefixes among processes never
+paid for itself.
 
 Signed specs range exponents over [-N, N] by substituting inverted
 blocks.  A spec may carry a signed permutation remapping block
@@ -32,17 +34,10 @@ equation rather than an identity word.
 
 from __future__ import annotations
 
-from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .lattice import Presentation
 from .rewrite import append_letter, is_identity
-
-# workers in the jobs > 1 pool; each holds its own copy of the table
-MAX_WORKERS = 2
-
 
 class HypothesisViolatedError(ValueError):
     """The bounded language does not satisfy the shape the symbolic
@@ -88,24 +83,21 @@ class BoundedLanguageSpec:
         return tuple(exps)
 
 
-def _products(pres, blocks, bound, u=(), v=(), exps=(), part=0, parts=1):
+def _products(pres, blocks, bound, u=(), v=(), exps=()):
     """Yield (a_part, b_part, exps) for every exponent tuple over
     `blocks`, each a list of (word, sign) directions: the AB normal form
-    of u * v times the product of the blocks' powers.  Only first-block
-    exponents e with e % parts == part are yielded."""
+    of u * v times the product of the blocks' powers."""
     if not blocks:
         yield u, v, exps
         return
     rest = blocks[1:]
-    if part == 0:
-        yield from _products(pres, rest, bound, u, v, exps + (0,))
+    yield from _products(pres, rest, bound, u, v, exps + (0,))
     for w, sign in blocks[0]:
         cu, cv = u, v
         for e in range(1, bound + 1):
             for g in w:
                 cu, cv = append_letter(pres, cu, cv, g)
-            if e % parts == part:
-                yield from _products(pres, rest, bound, cu, cv, exps + (sign * e,))
+            yield from _products(pres, rest, bound, cu, cv, exps + (sign * e,))
 
 
 def _directions(pres, spec):
@@ -116,36 +108,27 @@ def _directions(pres, spec):
     )
 
 
-_code = attrgetter("code")
+def _key(chars, u, v):
+    """A form's table key: the character chars[code] of each letter."""
+    return "".join([chars[g.code] for g in u + v])
 
 
-def _key(u, v, wide):
-    """A form's table key: its letter codes, two bytes each if wide."""
-    codes = map(_code, u + v)
-    return array("H", codes).tobytes() if wide else bytes(codes)
-
-
-def _meet(pres, spec, bound, part=0, parts=1):
-    """The points whose first-block exponent e has e % parts == part."""
+def _meet(pres, spec, bound):
+    """The points, found by looking every prefix form up among the
+    inverted suffix forms."""
     blocks = _directions(pres, spec)
     h = (len(blocks) + 1) // 2
-    wide = pres._n_codes > 256
     # w^e inverted is (w^-1)^e, still reported as the exponent e
     suffix = tuple(
         [(pres.invert_word(w), sign) for w, sign in block] for block in reversed(blocks[h:])
     )
-    table, more = {}, {}
+    chars = [chr(c) for c in range(pres._n_codes)]  # indexing builds keys faster than chr()
+    table = {}
     for u, v, exps in _products(pres, suffix, bound):
-        k, tail = _key(u, v, wide), exps[::-1]
-        if table.setdefault(k, tail) is not tail:
-            more.setdefault(k, []).append(tail)
+        table.setdefault(_key(chars, u, v), []).append(exps[::-1])
     out = []
-    for u, v, exps in _products(pres, blocks[:h], bound, part=part, parts=parts):
-        k = _key(u, v, wide)
-        tail = table.get(k)
-        if tail is not None:
-            out.append(spec.point_from_exponents(exps + tail))
-            out.extend(spec.point_from_exponents(exps + t) for t in more.get(k, ()))
+    for u, v, exps in _products(pres, blocks[:h], bound):
+        out.extend(spec.point_from_exponents(exps + t) for t in table.get(_key(chars, u, v), ()))
     return out
 
 
@@ -158,7 +141,7 @@ def enumerate_parikh(
 ) -> tuple:
     """All exponent tuples within the bound whose block product is the
     identity, sorted lexicographically.  prune=False is the brute force;
-    jobs > 1 runs the search in a pool of min(jobs, MAX_WORKERS)."""
+    every jobs >= 1 runs in this process."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if jobs < 1:
@@ -169,13 +152,8 @@ def enumerate_parikh(
             for u, v, exps in _products(pres, _directions(pres, spec), bound)
             if not u and not v
         ]
-    elif jobs == 1:
-        points = _meet(pres, spec, bound)
     else:
-        parts = min(jobs, MAX_WORKERS)
-        args = [(pres,) * parts, (spec,) * parts, (bound,) * parts, range(parts), (parts,) * parts]
-        with ProcessPoolExecutor(max_workers=parts) as pool:
-            points = [p for chunk in pool.map(_meet, *args) for p in chunk]
+        points = _meet(pres, spec, bound)
     return tuple(sorted(points))
 
 
