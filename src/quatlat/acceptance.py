@@ -46,7 +46,7 @@ class CheckResult:
     seconds: float
 
 
-def check_construction_fidelity(jobs=1):
+def check_construction_fidelity():
     params = get_presentation("q3").params
     ext = params.ext
     fiber_a, fiber_b = build_generators(params)
@@ -64,7 +64,7 @@ def check_construction_fidelity(jobs=1):
     )
 
 
-def check_oracle_equivalence(jobs=1):
+def check_oracle_equivalence():
     from .lattice import oracle_check_table
 
     rep3 = oracle_check_table(get_presentation("q3"))
@@ -78,14 +78,14 @@ def check_oracle_equivalence(jobs=1):
     )
 
 
-def check_orbits(jobs=1):
+def check_orbits():
     g3 = get_presentation("gamma3")
     o1 = orbit_size(g3, parse_word(g3, "a"), parse_word(g3, "x,x"))
     o2 = orbit_size(g3, parse_word(g3, "x"), parse_word(g3, "a,a"))
     return (o1 == 12 and o2 == 12), f"pi_a orbit of x^2 = {o1}, pi_x orbit of a^2 = {o2}"
 
 
-def check_k_tau_sigma(jobs=1):
+def check_k_tau_sigma():
     q3, q5 = get_presentation("q3").params, get_presentation("q5").params
     k3 = compute_k_tau(q3)
     k5 = compute_k_tau(q5)
@@ -117,7 +117,7 @@ def check_k_tau_sigma(jobs=1):
     return ok, "; ".join(details)
 
 
-def check_endomorphisms(jobs=1):
+def check_endomorphisms():
     pres = get_presentation("q3")
     rep_ktau = verify_homomorphism(pres, pres, phi_k_map(pres, pres, 2))
     rep_phi1 = verify_homomorphism(pres, pres, phi_k_map(pres, pres, 1))
@@ -141,7 +141,7 @@ def check_endomorphisms(jobs=1):
     )
 
 
-def check_p_power_relations(jobs=1):
+def check_p_power_relations():
     rep3 = check_finite_lemmas(get_presentation("q3"), powers=(1, 2, 3, 4))
     rep5 = check_finite_lemmas(get_presentation("q5"), powers=(1, 2, 3))
     ok = rep3["ok"] and rep5["ok"]
@@ -154,11 +154,11 @@ def check_p_power_relations(jobs=1):
     )
 
 
-def check_parikh_gamma3_diagonal(jobs=1):
+def check_parikh_gamma3_diagonal():
     g3 = get_presentation("gamma3")
     ex = EXAMPLES["gamma3/a;x;b^-1;x"]
     spec = ex.spec(g3)
-    points = enumerate_parikh(g3, spec, 30, jobs=jobs)
+    points = enumerate_parikh(g3, spec, 30)
     want = ((0, 0, 0, 0), (1, 1, 1, 1), (9, 9, 9, 9))
     probes = (
         membership(g3, spec, (81, 81, 81, 81)),
@@ -169,12 +169,12 @@ def check_parikh_gamma3_diagonal(jobs=1):
     return ok, f"N=30 -> {points}; probes 81^4/27^4/(81,81,81,80): {probes}"
 
 
-def check_parikh_gamma3_signed(jobs=1):
+def check_parikh_gamma3_signed():
     # target set as stated: {0} u {(0,n,-n,0)} u {+-(3,-3,3,3)} u {+-(9,9,9,9)}
     g3 = get_presentation("gamma3")
     ex = EXAMPLES["gamma3/a;x;b;x"]
     spec = ex.spec(g3)
-    points = enumerate_parikh(g3, spec, 10, jobs=jobs)
+    points = enumerate_parikh(g3, spec, 10)
     want = {(0, 0, 0, 0), (3, -3, 3, 3), (-3, 3, -3, -3), (9, 9, 9, 9), (-9, -9, -9, -9)}
     for n in range(1, 11):
         want.add((0, n, -n, 0))
@@ -189,41 +189,41 @@ def check_parikh_gamma3_signed(jobs=1):
     return ok, detail
 
 
-def check_parikh_gamma4(jobs=1):
+def check_parikh_gamma4():
     g4 = get_presentation("gamma4")
     fails = []
     for key, ex in EXAMPLES.items():
         if ex.lattice != "gamma4":
             continue
-        points = enumerate_parikh(g4, ex.spec(g4), 15, jobs=jobs)
+        points = enumerate_parikh(g4, ex.spec(g4), 15)
         rep = compare(points, ex.expected, 15)
         if not rep.ok:
             fails.append((key, rep.missing, rep.extra))
     return not fails, f"four languages at N=15; failures: {fails or 'none'}"
 
 
-def check_parikh_gamma32(jobs=1):
+def check_parikh_gamma32():
     g32 = get_presentation("gamma32")
     fails = []
     for key, ex in EXAMPLES.items():
         if ex.lattice != "gamma32":
             continue
-        points = enumerate_parikh(g32, ex.spec(g32), 10, jobs=jobs)
+        points = enumerate_parikh(g32, ex.spec(g32), 10)
         rep = compare(points, ex.expected, 10)
         if not rep.ok:
             fails.append((key, rep.missing, rep.extra))
     return not fails, f"five languages at N=10; failures: {fails or 'none'}"
 
 
-def check_parikh_q5_commuting(jobs=1):
+def check_parikh_q5_commuting():
     pres = get_presentation("q5")
     spec, expected = first_commuting_language(pres)
-    points = enumerate_parikh(pres, spec, 10, jobs=jobs)
+    points = enumerate_parikh(pres, spec, 10)
     rep = compare(points, expected, 10)
     return rep.ok, f"(n,m,n,m) at N=10: {len(points)} points, exact: {rep.ok}"
 
 
-def check_prune_oracle(jobs=1):
+def check_prune_oracle():
     fails = []
     for key, ex in EXAMPLES.items():
         pres = get_presentation(ex.lattice)
@@ -260,7 +260,7 @@ def _random_reduced(rng, pres, length, side):
     return tuple(out)
 
 
-def check_normal_form_lengths(jobs=1):
+def check_normal_form_lengths():
     rng = random.Random(20240811)
     bad = 0
     for name in ("gamma3", "q5"):
@@ -276,7 +276,7 @@ def check_normal_form_lengths(jobs=1):
     return bad == 0, f"AB/BA component lengths agree on 1000 random words; {bad} failures"
 
 
-def check_pi_preservation(jobs=1):
+def check_pi_preservation():
     rng = random.Random(20240812)
     bad = 0
     for name in ("gamma3", "q5"):
@@ -294,7 +294,7 @@ def check_pi_preservation(jobs=1):
     return bad == 0, f"pi length and prefix preservation on 1000 random pairs; {bad} failures"
 
 
-def check_free_reduction(jobs=1):
+def check_free_reduction():
     rng = random.Random(20240813)
     bad = 0
     for name in ("gamma3", "q5"):
@@ -319,7 +319,7 @@ def check_free_reduction(jobs=1):
     return bad == 0, f"random-order cancellation agrees on 1000 words; {bad} failures"
 
 
-def check_field_axioms(jobs=1):
+def check_field_axioms():
     rng = random.Random(20240814)
     bad = 0
     for p, e in ((3, 2), (5, 2)):
@@ -372,16 +372,16 @@ ALL_CHECKS = (
 )
 
 
-def run_check(name: str, func, jobs: int = 1) -> CheckResult:
+def run_check(name: str, func) -> CheckResult:
     t0 = time.perf_counter()
-    ok, detail = func(jobs=jobs)
+    ok, detail = func()
     return CheckResult(name, ok, detail, time.perf_counter() - t0)
 
 
-def run_all(jobs: int = 1, stream=None) -> list:
+def run_all(stream=None) -> list:
     results = []
     for name, func in ALL_CHECKS:
-        result = run_check(name, func, jobs=jobs)
+        result = run_check(name, func)
         results.append(result)
         if stream is not None:
             status = "PASS" if result.ok else "FAIL"

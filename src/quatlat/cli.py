@@ -61,7 +61,7 @@ _REMAP_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
 
 def _parse_remap(arg: str | None):
     # format: "0,+;1,+;3,+;2,-"
-    if not arg:
+    if arg is None:
         return None
     out = []
     for part in arg.split(";"):
@@ -82,7 +82,7 @@ def _parse_remap(arg: str | None):
 def _spec_from_args(pres, args) -> parikh.BoundedLanguageSpec:
     words = tuple(rewrite.parse_word(pres, w) for w in args.words.split(";"))
     return parikh.BoundedLanguageSpec(
-        words, signed=args.signed, remap=_parse_remap(getattr(args, "remap", None))
+        words, signed=args.signed, remap=_parse_remap(args.remap)
     )
 
 
@@ -191,7 +191,10 @@ def _suite_reports(pres: Presentation, suite: str, powers) -> dict:
 
 def cmd_verify(args) -> int:
     pres = _load_lattice(args.lattice)
-    powers = tuple(int(x) for x in args.powers.split(",")) if args.powers else (1, 2)
+    try:
+        powers = tuple(int(x) for x in args.powers.split(","))
+    except ValueError:
+        raise ValueError(f"--powers {args.powers!r} is not a comma list of integers like 1,2") from None
     reports = _suite_reports(pres, args.suite, powers)
     ok = all(rep["ok"] for rep in reports.values())
     _dump({"ok": ok, "suites": reports}, args.out)
@@ -201,7 +204,7 @@ def cmd_verify(args) -> int:
 def cmd_parikh(args) -> int:
     pres = _load_lattice(args.lattice)
     spec = _spec_from_args(pres, args)
-    points = parikh.enumerate_parikh(pres, spec, args.bound, jobs=args.jobs)
+    points = parikh.enumerate_parikh(pres, spec, args.bound)
     _dump({"bound": args.bound, "points": [list(p) for p in points]}, args.out)
     return 0
 
@@ -249,6 +252,11 @@ def cmd_compare(args) -> int:
     example = presets.EXAMPLES.get(key)
     if example is not None and args.expected == "registry":
         spec = example.spec(pres)
+        if args.signed and not spec.signed:
+            raise ValueError(f"--signed contradicts the registry entry {key!r}, which is unsigned")
+        remap = _parse_remap(args.remap)
+        if remap is not None and remap != spec.remap:
+            raise ValueError(f"--remap {args.remap!r} contradicts the registry entry {key!r}")
         if args.bound is None:
             args.bound = example.bound
     else:
@@ -256,7 +264,7 @@ def cmd_compare(args) -> int:
     if args.bound is None:
         raise ValueError("--bound is required without a registry entry")
     expected = _expected_from_descriptor(args.expected, pres, args)
-    points = parikh.enumerate_parikh(pres, spec, args.bound, jobs=args.jobs)
+    points = parikh.enumerate_parikh(pres, spec, args.bound)
     report = parikh.compare(points, expected, args.bound)
     _dump(
         {
@@ -288,7 +296,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    results = acceptance.run_all(jobs=args.jobs, stream=sys.stdout)
+    results = acceptance.run_all(stream=sys.stdout)
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["oracle", "matrix", "lemmas", "endo", "orbits", "dict", "all"],
     )
-    p.add_argument("--powers", help="comma list of n for the p^n relation checks")
+    p.add_argument("--powers", default="1,2", help="comma list of n for the p^n relation checks")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
@@ -322,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--signed", action="store_true")
     p.add_argument("--remap", help="output remap like '0,+;1,+;3,+;2,-' (signs +, +1, 1, -, -1)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_parikh)
 
@@ -333,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signed", action="store_true")
     p.add_argument("--remap")
     p.add_argument("--expected", default="registry")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 
@@ -346,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("repro", help="run the full acceptance suite")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_repro)
 
     return top
@@ -355,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise ValueError(f"--jobs {args.jobs} is not a positive integer")
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -479,14 +479,6 @@ class QuadElem:
         return f"{self.u!r}+{vs}"
 
 
-def conjugate(x: QuadElem) -> QuadElem:
-    return x.conj()
-
-
-def norm(x: QuadElem) -> FieldElem:
-    return x.norm()
-
-
 def norm_fiber(ext: QuadExt, s) -> tuple:
     """All xi in F_q[Z]* with N(xi) = s, in enumeration order; size q+1."""
     s = ext.field.element(s)

@@ -261,9 +261,6 @@ class Presentation:
         except KeyError:
             raise KeyError(f"unknown generator token {token!r}") from None
 
-    def inv(self, label: GenLabel) -> GenLabel:
-        return self.inverse[label]
-
     def invert_word(self, w: Word) -> Word:
         return tuple(self.inverse[g] for g in reversed(w))
 
@@ -462,7 +459,7 @@ def letter_map(src: Presentation, dst: Presentation, images: dict) -> dict:
         label = src.label(token)
         word = tuple(dst.label(t) for t in image)
         mapping[label] = word
-        mapping[src.inv(label)] = dst.invert_word(word)
+        mapping[src.inverse[label]] = dst.invert_word(word)
     missing = [l.token() for l in src.alphabet_a + src.alphabet_b if l not in mapping]
     if missing:
         raise ParameterMismatchError(f"map not defined on {missing}")
@@ -475,7 +472,7 @@ def verify_homomorphism(src: Presentation, dst: Presentation, mapping: dict) -> 
 
     failures = []
     for l in src.alphabet_a + src.alphabet_b:
-        w = mapping[l] + mapping[src.inv(l)]
+        w = mapping[l] + mapping[src.inverse[l]]
         if not rewrite.is_identity(dst, w):
             failures.append(("inverse", l.token()))
     for (la, lb), (lb2, la2) in src.swap.items():
@@ -574,7 +571,7 @@ def gamma3_dictionary(parametric: Presentation, named: Presentation) -> dict:
     for token, plabel in pairs.items():
         nlabel = named.label(token)
         mapping[nlabel] = plabel
-        mapping[named.inv(nlabel)] = parametric.inverse[plabel]
+        mapping[named.inverse[nlabel]] = parametric.inverse[plabel]
     return mapping
 
 

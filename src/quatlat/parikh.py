@@ -21,10 +21,11 @@ freely reduces to the identity.  With prune=False one walk over all d
 blocks, keeping the products that reduce to the identity, is the
 brute-force oracle the search is checked against.
 
-`jobs` must be at least 1 and does not change the work: every value
-runs the search in this process.  A worker would have to rebuild the
-whole suffix table, so splitting the prefixes among processes never
-paid for itself.
+`enumerate_parikh(jobs=...)` is a leftover: it must be at least 1 and
+changes nothing, since every value runs the search in this process (a
+worker would have to rebuild the whole suffix table).  It is kept only
+because the benchmark's `jobs2` op in `perfbench/workloads.py` passes
+`jobs=2`, and it goes with the next change to the benchmark.
 
 Signed specs range exponents over [-N, N] by substituting inverted
 blocks.  A spec may carry a signed permutation remapping block
@@ -141,7 +142,7 @@ def enumerate_parikh(
 ) -> tuple:
     """All exponent tuples within the bound whose block product is the
     identity, sorted lexicographically.  prune=False is the brute force;
-    every jobs >= 1 runs in this process."""
+    jobs is checked (>= 1) and otherwise ignored."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if jobs < 1:

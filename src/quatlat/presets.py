@@ -128,7 +128,7 @@ EXAMPLES = {
 }
 
 
-def first_commuting_language(pres: Presentation, bound: int = 10):
+def first_commuting_language(pres: Presentation):
     """The a*b*(a^-1)*(b^-1)* language of the first commuting square of a
     parametric lattice, with its semilinear prediction {(n, m, n, m)}."""
     commuting = pres.commuting_squares()

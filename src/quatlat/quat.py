@@ -368,11 +368,6 @@ class Quat:
         x0, x1, x2, x3 = self.coords
         return Quat(self.algebra, (x0, -x1, -x2, -x3))
 
-    def reduced_norm(self) -> Poly:
-        prod = self * self.conj()
-        assert all(c.is_zero() for c in prod.coords[1:]), "x * conj(x) not scalar"
-        return prod.coords[0]
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
 
@@ -578,11 +573,8 @@ _GAMMA3_MATRIX_DATA = {
 }
 
 
-def gamma3_matrices(field: Field | None = None) -> dict:
-    if field is None:
-        field = Field(3)
-    if field.q != 3:
-        raise ValueError("the matrix quadruple lives over F_3(t)")
+def gamma3_matrices() -> dict:
+    field = Field(3)
     return {k: Mat3.from_int_polys(field, v) for k, v in _GAMMA3_MATRIX_DATA.items()}
 
 

@@ -247,7 +247,7 @@ def test_malformed_power_diagonal_names_the_flag(capsys):
 
 def test_malformed_remap_names_the_flag(capsys):
     argv = ["parikh", "--lattice", "gamma3", "--words", "a;x;b;x", "--bound", "2", "--signed", "--remap"]
-    for remap in ("0", "0,+;1", "x,+;1,+;2,+;3,+"):
+    for remap in ("", "0", "0,+;1", "x,+;1,+;2,+;3,+"):
         code = main(argv + [remap])
         err = capsys.readouterr().err
         assert code == 2, remap
@@ -292,38 +292,48 @@ def test_growth_registry_needs_a_registered_key(capsys, flags, needle):
     assert needle in captured.err, captured.err
 
 
-def test_jobs_flag(capsys):
-    code, out = run(
-        capsys,
-        "parikh",
-        "--lattice",
-        "gamma3",
-        "--words",
-        "a;x;b^-1;x",
-        "--bound",
-        "6",
-        "--jobs",
-        "2",
-    )
-    assert code == 0
-    assert json.loads(out)["points"] == [[0, 0, 0, 0], [1, 1, 1, 1]]
+def test_jobs_flag_is_gone(capsys):
+    for argv in (
+        ["parikh", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "4"],
+        ["compare", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "4"],
+        ["repro"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert captured.out == ""
+        assert "--jobs" in captured.err, captured.err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-4"])
 @pytest.mark.parametrize(
-    "argv",
+    "flags,needle",
     [
-        ("parikh", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "4"),
-        ("compare", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "4"),
-        ("repro",),
+        (["--signed"], "--signed"),
+        (["--remap", "0,+;1,+;3,+;2,-"], "--remap"),
     ],
 )
-def test_jobs_below_one_exits_2(capsys, argv, jobs):
-    code = main([*argv, "--jobs", jobs])
+def test_compare_refuses_flags_that_contradict_the_registry(capsys, flags, needle):
+    code = main(["compare", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "4", *flags])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "--jobs" in captured.err
+    assert code == 2 and captured.out == ""
+    assert needle in captured.err and "gamma3/a;x;b^-1;x" in captured.err, captured.err
+
+
+def test_compare_accepts_flags_that_agree_with_the_registry(capsys):
+    code, out = run(
+        capsys, "compare", "--lattice", "gamma3", "--words", "a;x;b;x",
+        "--signed", "--remap", "0,+;1,+;3,+;2,-",
+    )
+    assert code == 0 and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("powers", ["", "1,,2", "x"])
+def test_verify_rejects_malformed_powers(capsys, powers):
+    code = main(["verify", "--lattice", "q3", "--suite", "lemmas", "--powers", powers])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--powers" in captured.err, captured.err
 
 
 def test_construct_with_q(capsys):
