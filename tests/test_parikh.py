@@ -102,6 +102,7 @@ def test_jobs_deterministic(g3):
     assert seq == par
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("signed", [False, True])
 @pytest.mark.parametrize(
     "lattice,words",
@@ -116,16 +117,17 @@ def test_jobs_deterministic(g3):
         ("gamma4", "b;x;a,a^-1"),  # a suffix form shared by every exponent
     ],
 )
-def test_meet_in_the_middle_matches_bruteforce(lattice, words, signed):
+def test_last_block_lookup_matches_bruteforce(lattice, words, signed, jobs):
     """The meet-in-the-middle search equals the brute force for
     d = 1, 2, 3, 4 and 5, also where a block freely reduces to the
     identity so that one form holds several exponent tuples."""
     pres = get_presentation(lattice)
     spec = spec_of(pres, words, signed=signed)
     brute = enumerate_parikh(pres, spec, 5, prune=False)
-    assert enumerate_parikh(pres, spec, 5) == brute
+    assert enumerate_parikh(pres, spec, 5, jobs=jobs) == brute
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
     "words,remap",
     [
@@ -134,11 +136,11 @@ def test_meet_in_the_middle_matches_bruteforce(lattice, words, signed):
         ("a;x;b^-1;x;a", ((4, 1), (3, -1), (2, 1), (1, -1), (0, 1))),
     ],
 )
-def test_meet_in_the_middle_with_remap_matches_bruteforce(g3, words, remap):
+def test_meet_in_the_middle_with_remap_matches_bruteforce(g3, words, remap, jobs):
     spec = spec_of(g3, words, signed=True, remap=remap)
     brute = enumerate_parikh(g3, spec, 4, prune=False)
     assert len(brute) > 1
-    assert enumerate_parikh(g3, spec, 4) == brute
+    assert enumerate_parikh(g3, spec, 4, jobs=jobs) == brute
 
 
 def test_gamma3_power_diagonal_at_bound_100(g3):
@@ -194,10 +196,11 @@ def test_search_and_normal_form_use_the_module_bindings(monkeypatch, g3):
     assert calls["parikh"] > 0
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("words,signed", [("a;x;b^-1;x", False), ("a;x;b;x", True)])
-def test_bound_zero_gives_only_the_zero_tuple(g3, words, signed):
+def test_bound_zero_gives_only_the_zero_tuple(g3, words, signed, jobs):
     spec = spec_of(g3, words, signed=signed)
-    assert enumerate_parikh(g3, spec, 0) == ((0, 0, 0, 0),)
+    assert enumerate_parikh(g3, spec, 0, jobs=jobs) == ((0, 0, 0, 0),)
 
 
 def test_example_registry_passes():
