@@ -41,19 +41,26 @@ def _load_lattice(arg: str) -> Presentation:
 
 
 def _lattice_params(arg: str) -> LatticeParams:
-    # format: "p=5,e=1,c=2,tau=3", e optional
-    usage = f"--lattice {arg!r} is not a parameter list of the form p=..,e=..,c=..,tau=.. (e optional)"
+    # format: "p=5,e=1,c=2,tau=3", e optional; for e > 1, c and tau are
+    # little-endian coefficient vectors with ':' between coefficients,
+    # as in "p=3,e=2,c=1:1,tau=0:1"
+    usage = (f"--lattice {arg!r} is not a parameter list of the form p=..,e=..,c=..,tau=.. "
+             "(e optional; c and tau may be coefficient vectors like 1:1)")
     try:
         pairs = [part.split("=") for part in arg.split(",")]
-        kv = {k: int(v) for k, v in pairs}
+        kv = dict(pairs)
         if len(kv) != len(pairs):
             raise ValueError("repeated key")
-        p, e, c, tau = kv.pop("p"), kv.pop("e", 1), kv.pop("c"), kv.pop("tau")
+        p, e = int(kv.pop("p")), int(kv.pop("e", 1))
+        c, tau = ([int(x) for x in kv.pop(key).split(":")] for key in ("c", "tau"))
     except (ValueError, KeyError):
         raise ValueError(usage) from None
     if kv:
         raise ValueError(f"{usage}; unknown key {', '.join(sorted(kv))}")
-    return LatticeParams.make(p, e, c, tau)
+    try:
+        return LatticeParams.make(p, e, c, tau)
+    except ValueError as exc:
+        raise ValueError(f"--lattice {arg!r}: {exc}") from None
 
 
 _REMAP_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}

@@ -1,13 +1,21 @@
 """Exact arithmetic in F_q (q = p^e, p an odd prime) and in the quadratic
 extension F_q[Z] with Z^2 = c for a chosen non-square c.
 
-Field elements are little-endian coefficient vectors mod p in the power
-basis of a fixed monic irreducible modulus.  The modulus is the
+A field element is its index 0..q-1: the integer whose base-p digits
+are the element's little-endian coefficient vector in the power basis of
+a fixed monic irreducible modulus, so 0 and 1 are the field's zero and
+one and an int n embeds as n mod p.  The modulus is the
 lexicographically smallest monic irreducible polynomial of degree e
 (highest coefficient compared first, i.e. ascending order of the integer
 whose base-p digits are the lower coefficients), so a field is pinned
 down by (p, e) alone and serializes reproducibly.  For e = 1 the modulus
 is x and elements are plain residues.
+
+Each field builds, once, flat q x q tables `add` and `mul` (entry
+a*q + b) and q-entry tables `neg` and `inv` from the coefficient-vector
+arithmetic, and every operation afterwards is a lookup; the vectors
+survive only to build the tables and to print and serialize elements.
+FieldElem wraps (field, index) for the public API.
 
 Extension elements u + vZ are pairs of F_q elements.  The norm down to
 F_q is N(u + vZ) = u^2 - c*v^2, which agrees with x * conj(x) and with
@@ -35,26 +43,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int):
-    # dense little-endian int coefficients; den must have invertible lead
-    num = list(num)
-    dn = len(den) - 1
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-        dn -= 1
-    lead_inv = pow(den[-1], -1, p)
-    quot = [0] * max(len(num) - dn, 1)
-    for k in range(len(num) - 1, dn - 1, -1):
-        c = num[k] % p
-        if c:
-            f = (c * lead_inv) % p
-            quot[k - dn] = f
-            for i, dc in enumerate(den):
-                num[k - dn + i] = (num[k - dn + i] - f * dc) % p
-    rem = [c % p for c in num[:dn]]
-    return quot, rem
-
-
 def _power(one, base, n: int):
     """base ** n for n >= 0 by square-and-multiply, starting from `one`;
     serves every multiplicative type in the package."""
@@ -67,18 +55,20 @@ def _power(one, base, n: int):
     return result
 
 
+def _digits(k: int, p: int, n: int) -> tuple:
+    """The n little-endian base-p digits of k."""
+    return tuple((k // p**i) % p for i in range(n))
+
+
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     # trial division by all monic polynomials of degree 1 .. deg/2
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
+    from .quat import Poly
+
+    field = Field(p)
+    num = Poly(field, poly)
+    for d in range(1, num.degree // 2 + 1):
         for m in range(p**d):
-            den, k = [], m
-            for _ in range(d):
-                den.append(k % p)
-                k //= p
-            den.append(1)
-            _, rem = _poly_divmod(poly, den, p)
-            if not any(rem):
+            if not num % Poly(field, _digits(m, p, d) + (1,)):
                 return False
     return True
 
@@ -87,18 +77,18 @@ def _smallest_irreducible(p: int, e: int):
     if e == 1:
         return (0, 1)
     for m in range(p**e):
-        low, k = [], m
-        for _ in range(e):
-            low.append(k % p)
-            k //= p
-        poly = low + [1]
+        poly = _digits(m, p, e) + (1,)
         if _is_irreducible(poly, p):
-            return tuple(poly)
+            return poly
     raise FieldError(f"no irreducible polynomial of degree {e} over F_{p}")
 
 
 class Field:
-    """The field F_q with q = p^e, for an odd prime p."""
+    """The field F_q with q = p^e, for an odd prime p.
+
+    `vec[k]` is the coefficient vector of index k; `add[a*q + b]` and
+    `mul[a*q + b]` are the indices of a + b and a*b, `neg[a]` of -a and
+    `inv[a]` of 1/a (None at 0)."""
 
     def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
         if not _is_prime(p):
@@ -119,19 +109,22 @@ class Field:
             if e > 1 and not _is_irreducible(modulus, p):
                 raise FieldError("modulus is not irreducible")
         self.modulus = tuple(modulus)
-        # reduction rows: x^(e+k) mod modulus for k = 0 .. e-2
-        red = []
-        row = [(-c) % p for c in self.modulus[:e]]
-        for _ in range(max(e - 1, 0)):
-            red.append(tuple(row))
-            row = [0] + row[: e - 1]
-            top = red[-1][e - 1] if e > 1 else 0
-            if top:
-                row = [(row[i] + top * red[0][i]) % p for i in range(e)]
-            row = [c % p for c in row[:e]]
-        self._red = red
-        self.zero = FieldElem(self, (0,) * e)
-        self.one = FieldElem(self, (1,) + (0,) * (e - 1))
+        self.vec, self.add, self.mul, self.neg, self.inv = self._tables()
+        self.zero = FieldElem(self, 0)
+        self.one = FieldElem(self, 1)
+
+    def _tables(self):
+        p, e, q = self.p, self.e, self.q
+        vec = tuple(_digits(k, p, e) for k in range(q))
+        index = {v: k for k, v in enumerate(vec)}
+        add = tuple(index[tuple((x + y) % p for x, y in zip(a, b))] for a in vec for b in vec)
+        mul = tuple(index[self._mul_coeffs(a, b)] for a in vec for b in vec)
+        neg = tuple(index[tuple((-c) % p for c in a)] for a in vec)
+        inv = [None] * q
+        for k, v in enumerate(mul):
+            if v == 1:
+                inv[k // q] = k % q
+        return vec, add, mul, neg, tuple(inv)
 
     def element(self, value) -> "FieldElem":
         """Coerce an int (constant embedding) or a coefficient vector."""
@@ -140,46 +133,34 @@ class Field:
                 raise FieldError("element from a different field")
             return value
         if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.e - 1)
-            return FieldElem(self, coeffs)
-        coeffs = tuple(int(c) % self.p for c in value)
+            return FieldElem(self, value % self.p)
+        coeffs = [int(c) % self.p for c in value]
         if len(coeffs) > self.e:
             raise FieldError(f"coefficient vector longer than degree {self.e}")
-        coeffs = coeffs + (0,) * (self.e - len(coeffs))
-        return FieldElem(self, coeffs)
+        return FieldElem(self, sum(c * self.p**i for i, c in enumerate(coeffs)))
 
     def from_index(self, k: int) -> "FieldElem":
         """The k-th element in the fixed enumeration order (base-p digits)."""
         if not 0 <= k < self.q:
             raise FieldError(f"index {k} out of range for q={self.q}")
-        coeffs = []
-        for _ in range(self.e):
-            coeffs.append(k % self.p)
-            k //= self.p
-        return FieldElem(self, tuple(coeffs))
+        return FieldElem(self, k)
 
     def elements(self) -> Iterator["FieldElem"]:
         for k in range(self.q):
-            yield self.from_index(k)
+            yield FieldElem(self, k)
 
     def _mul_coeffs(self, a, b):
-        p, e = self.p, self.e
-        if e == 1:
-            return ((a[0] * b[0]) % p,)
+        """The coefficient vector of a*b: the product of the vectors as
+        polynomials in x, reduced mod the modulus from the top degree."""
+        p, e, m = self.p, self.e, self.modulus
         conv = [0] * (2 * e - 1)
-        for i in range(e):
-            ai = a[i]
-            if ai:
-                for j in range(e):
-                    conv[i + j] = (conv[i + j] + ai * b[j]) % p
-        out = conv[:e]
-        for k in range(e - 2, -1, -1):
-            c = conv[e + k]
-            if c:
-                row = self._red[k]
-                for i in range(e):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+        for k in range(2 * e - 2, e - 1, -1):  # x^k = -x^(k-e) * (m(x) - x^e)
+            for i in range(e):
+                conv[k - e + i] -= conv[k] * m[i]
+        return tuple(c % p for c in conv[:e])
 
     def to_json(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
@@ -206,64 +187,59 @@ class Field:
 
 
 class FieldElem:
-    """An element of F_q as a coefficient vector; immutable."""
+    """An element of F_q as (field, index); immutable.  Arithmetic reads
+    the field's tables."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "idx")
 
-    def __init__(self, field: Field, coeffs: tuple):
+    def __init__(self, field: Field, idx: int):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "idx", idx)
 
     def __setattr__(self, *_):
         raise AttributeError("FieldElem is immutable")
 
     def index(self) -> int:
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.field.p + c
-        return k
+        return self.idx
+
+    @property
+    def coeffs(self) -> tuple:
+        return self.field.vec[self.idx]
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.idx
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.idx)
 
     def __add__(self, other):
-        other = self.field.element(other)
-        p = self.field.p
-        return FieldElem(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        f = self.field
+        return FieldElem(f, f.add[self.idx * f.q + f.element(other).idx])
 
     def __radd__(self, other):
         return self + other
 
     def __sub__(self, other):
-        other = self.field.element(other)
-        p = self.field.p
-        return FieldElem(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        f = self.field
+        return FieldElem(f, f.add[self.idx * f.q + f.neg[f.element(other).idx]])
 
     def __rsub__(self, other):
         return -self + other
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElem(self.field, tuple((-a) % p for a in self.coeffs))
+        return FieldElem(self.field, self.field.neg[self.idx])
 
     def __mul__(self, other):
-        other = self.field.element(other)
-        return FieldElem(self.field, self.field._mul_coeffs(self.coeffs, other.coeffs))
+        f = self.field
+        return FieldElem(f, f.mul[self.idx * f.q + f.element(other).idx])
 
     def __rmul__(self, other):
         return self * other
 
     def inverse(self) -> "FieldElem":
-        if self.is_zero():
+        if not self.idx:
             raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.field.q - 2)
+        return FieldElem(self.field, self.field.inv[self.idx])
 
     def __truediv__(self, other):
         return self * self.field.element(other).inverse()
@@ -283,20 +259,20 @@ class FieldElem:
             return self == self.field.element(other)
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.field == other.field
+        return self.idx == other.idx and self.field == other.field
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.idx)
 
     def __reduce__(self):
-        return (FieldElem, (self.field, self.coeffs))
+        return (FieldElem, (self.field, self.idx))
 
     def to_json(self) -> list:
         return list(self.coeffs)
 
     def __repr__(self):
         if self.field.e == 1:
-            return str(self.coeffs[0])
+            return str(self.idx)
         terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:

@@ -11,9 +11,10 @@ Parametric lattices come from field data (q, c, tau): the A alphabet is
 indexed by the norm fiber over -c, the B alphabet by the fiber over
 c*tau/(1-tau), and each swap entry is the unique solution (lambda, mu)
 of   xi + eta = lambda + mu,   xi * conj(eta) = lambda * conj(mu),
-found by scanning the B fiber.  Named lattices are given by a literal
-list of squares over symbolic letters; the full table is expanded from
-the four readings of each square, never hand-entered.
+given in closed form by one division in F_q[Z] (see solve_square).
+Named lattices are given by a literal list of squares over symbolic
+letters; the full table is expanded from the four readings of each
+square, never hand-entered.
 """
 
 from __future__ import annotations
@@ -307,23 +308,22 @@ def build_generators(params: LatticeParams):
 
 def solve_square(params: LatticeParams, xi: QuadElem, eta: QuadElem):
     """The unique (lambda, mu) with xi+eta = lambda+mu and
-    xi*conj(eta) = lambda*conj(mu), scanning lambda over the B fiber."""
-    fiber_b = norm_fiber(params.ext, params.b_norm_target)
-    a_target = params.a_norm_target
+    xi*conj(eta) = lambda*conj(mu), N(lambda) = s_B, N(mu) = -c.
+
+    Substituting mu = xi+eta-lambda into the second equation gives
+    xi*conj(eta) = lambda*conj(xi+eta) - s_B, so
+    lambda = (xi*conj(eta) + s_B) / conj(xi+eta); xi+eta != 0 because
+    the fibers are disjoint.  The norms and the product are checked."""
+    s_b = params.b_norm_target
     total = xi + eta
     prod = xi * eta.conj()
-    found = None
-    for lam in fiber_b:
-        mu = total - lam
-        if mu.is_zero() or mu.norm() != a_target:
-            continue
-        if lam * mu.conj() == prod:
-            if found is not None:
-                raise SquareSolveError(f"two solutions for ({xi!r}, {eta!r})")
-            found = (lam, mu)
-    if found is None:
+    if total.is_zero():
+        raise SquareSolveError(f"xi + eta = 0 for ({xi!r}, {eta!r})")
+    lam = (prod + s_b) / total.conj()
+    mu = total - lam
+    if lam.norm() != s_b or mu.is_zero() or mu.norm() != params.a_norm_target or lam * mu.conj() != prod:
         raise SquareSolveError(f"no solution for ({xi!r}, {eta!r})")
-    return found
+    return lam, mu
 
 
 def build_square_table(params: LatticeParams) -> Presentation:

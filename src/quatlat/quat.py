@@ -3,8 +3,10 @@
 
     Z^2 = c,    F^2 = t(t-1),    ZF = -FZ.
 
-Polynomials are little-endian coefficient tuples of field elements with
-no trailing zeros (the zero polynomial is the empty tuple).  Quaternion
+Polynomials are little-endian tuples of field-element indices with no
+trailing zeros (the zero polynomial is the empty tuple); their
+arithmetic is lookups in the field's add/mul/neg/inv tables, and
+`coeffs` and `lead()` wrap indices as FieldElems for callers.  Quaternion
 coordinates are polynomials: every generator c*f + xi*F*Z has polynomial
 coordinates once a rational f is cleared of its denominator, and the
 oracle compares products only mod K* = F_q(t)*.  A projective class is
@@ -25,29 +27,35 @@ from .ff import Field, FieldElem, FieldError, QuadExt, QuadElem, _power, sigma_k
 
 
 class Poly:
-    """A polynomial in t over F_q; canonical (no trailing zeros)."""
+    """A polynomial in t over F_q, stored as the little-endian tuple `idx`
+    of its coefficients' field indices, with no trailing zeros; the
+    arithmetic reads the field's tables."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "idx")
 
     def __init__(self, field: Field, coeffs=()):
-        self._fill(field, [field.element(c) for c in coeffs])
+        self._fill(field, [field.element(c).idx for c in coeffs])
 
     @classmethod
-    def _of(cls, field: Field, cs: list) -> "Poly":
-        """A Poly from a list of FieldElems of `field`, as the arithmetic
+    def _of(cls, field: Field, idx: list) -> "Poly":
+        """A Poly from a list of indices of `field`, as the arithmetic
         below makes them: trimmed, but not coerced again."""
         poly = object.__new__(cls)
-        poly._fill(field, cs)
+        poly._fill(field, idx)
         return poly
 
-    def _fill(self, field, cs):
-        while cs and cs[-1].is_zero():
-            cs.pop()
+    def _fill(self, field, idx):
+        while idx and not idx[-1]:
+            idx.pop()
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "idx", tuple(idx))
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(FieldElem(self.field, k) for k in self.idx)
 
     @classmethod
     def t(cls, field: Field) -> "Poly":
@@ -59,57 +67,59 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.idx) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.idx
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.idx)
 
     def lead(self) -> FieldElem:
-        if not self.coeffs:
+        if not self.idx:
             raise ZeroDivisionError("leading coefficient of zero")
-        return self.coeffs[-1]
+        return FieldElem(self.field, self.idx[-1])
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+        return bool(self.idx) and self.idx[-1] == 1
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
             return self
-        inv = self.lead().inverse()
-        return Poly._of(self.field, [c * inv for c in self.coeffs])
+        return self * self.lead().inverse()
 
     def __add__(self, other):
         other = _as_poly(self.field, other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.idx, other.idx
         if len(a) < len(b):
             a, b = b, a
+        add, q = self.field.add, self.field.q
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
+        for i, k in enumerate(b):
+            out[i] = add[out[i] * q + k]
         return Poly._of(self.field, out)
 
     def __sub__(self, other):
         return self + (-_as_poly(self.field, other))
 
     def __neg__(self):
-        return Poly._of(self.field, [-c for c in self.coeffs])
+        neg = self.field.neg
+        return Poly._of(self.field, [neg[k] for k in self.idx])
 
     def __mul__(self, other):
+        field = self.field
+        mul, q = field.mul, field.q
         if isinstance(other, FieldElem):
-            return Poly._of(self.field, [c * other for c in self.coeffs])
-        other = _as_poly(self.field, other)
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly._of(self.field, out)
+            row = field.element(other).idx * q
+            return Poly._of(field, [mul[row + k] for k in self.idx])
+        add, ys = field.add, _as_poly(field, other).idx
+        out = [0] * (len(self.idx) + len(ys) - 1)  # trimmed to () if a factor is 0
+        for i, x in enumerate(self.idx):
+            if x:
+                row = x * q
+                for j, y in enumerate(ys, i):
+                    out[j] = add[out[j] * q + mul[row + y]]
+        return Poly._of(field, out)
 
     def __rmul__(self, other):
         return self * other
@@ -120,21 +130,23 @@ class Poly:
         return _power(Poly.const(self.field, 1), self, n)
 
     def __divmod__(self, other):
-        other = _as_poly(self.field, other)
+        field = self.field
+        other = _as_poly(field, other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = other.degree
-        lead_inv = other.lead().inverse()
-        quo = [self.field.zero] * max(len(rem) - dn, 1)
+        add, mul, neg, q = field.add, field.mul, field.neg, field.q
+        den, rem = other.idx, list(self.idx)
+        dn = len(den) - 1
+        lead_inv = field.inv[den[-1]]
+        quo = [0] * max(len(rem) - dn, 1)
         for k in range(len(rem) - 1, dn - 1, -1):
             c = rem[k]
-            if not c.is_zero():
-                f = c * lead_inv
-                quo[k - dn] = f
-                for i, dc in enumerate(other.coeffs):
-                    rem[k - dn + i] = rem[k - dn + i] - f * dc
-        return Poly._of(self.field, quo), Poly._of(self.field, rem[:dn])
+            if c:
+                f = quo[k - dn] = mul[c * q + lead_inv]
+                row = neg[f] * q
+                for i, d in enumerate(den, k - dn):
+                    rem[i] = add[rem[i] * q + mul[row + d]]
+        return Poly._of(field, quo), Poly._of(field, rem[:dn])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -146,22 +158,22 @@ class Poly:
         if self is other:
             return True
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs and self.field == other.field
+            return self.idx == other.idx and self.field == other.field
         if isinstance(other, (int, FieldElem)):
             return self == Poly.const(self.field, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.idx)
 
     def __reduce__(self):
         return (Poly, (self.field, self.coeffs))
 
     def to_json(self) -> list:
-        return [c.to_json() for c in self.coeffs]
+        return [list(self.field.vec[k]) for k in self.idx]
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.idx:
             return "0"
         terms = []
         for i, c in enumerate(self.coeffs):

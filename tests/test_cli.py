@@ -276,6 +276,33 @@ def test_malformed_lattice_parameters_name_the_flag(capsys, arg):
     assert "--lattice" in captured.err and "p=..,e=..,c=..,tau=.." in captured.err, captured.err
 
 
+def test_lattice_parameters_take_coefficient_vectors(capsys, tmp_path):
+    """e > 1 needs a non-F_p constant: c = 1 + x and tau = x over F_9,
+    the lattice of `construct --q 9 --c 1,1 --tau 0,1`."""
+    code, out = run(capsys, "verify", "--lattice", "p=3,e=2,c=1:1,tau=0:1", "--suite", "oracle")
+    assert code == 0 and json.loads(out) == {
+        "ok": True, "suites": {"oracle": {"ok": True, "checked": 100, "failures": []}}}
+    path = tmp_path / "q9.json"
+    assert run(capsys, "construct", "--q", "9", "--c", "1,1", "--tau", "0,1", "--out", str(path))[0] == 0
+    assert run(capsys, "verify", "--lattice", str(path), "--suite", "all") == run(
+        capsys, "verify", "--lattice", "p=3,e=2,c=1:1,tau=0:1", "--suite", "all")
+
+
+@pytest.mark.parametrize(
+    "arg",
+    [
+        "p=3,e=2,c=1:,tau=0:1",  # an empty coefficient
+        "p=3,e=2,c=1:1:1,tau=0:1",  # more coefficients than e
+        "p=3:1,e=2,c=1:1,tau=0:1",  # p is not a vector
+    ],
+)
+def test_malformed_coefficient_vectors_name_the_flag(capsys, arg):
+    code = main(["verify", "--lattice", arg, "--suite", "oracle"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"--lattice {arg!r}" in captured.err, captured.err
+
+
 @pytest.mark.parametrize(
     "flags,needle",
     [

@@ -217,3 +217,61 @@ def test_field_json_roundtrip():
     assert again == field
     x = field.from_index(5)
     assert field.element(x.to_json()) == x
+
+
+def _index(field, coeffs):
+    return sum(c * field.p**i for i, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_tables_match_vector_arithmetic(p, e):
+    """Every entry of add, mul, neg and inv, against digit-wise addition
+    and the coefficient-vector product."""
+    field = Field(p, e)
+    q = field.q
+    vec = [tuple((k // p**i) % p for i in range(e)) for k in range(q)]
+    assert field.vec == tuple(vec)
+    for a in range(q):
+        assert field.neg[a] == _index(field, [(-c) % p for c in vec[a]])
+        for b in range(q):
+            assert field.add[a * q + b] == _index(field, [(x + y) % p for x, y in zip(vec[a], vec[b])])
+            assert field.mul[a * q + b] == _index(field, field._mul_coeffs(vec[a], vec[b]))
+        if a:
+            assert field._mul_coeffs(vec[a], vec[field.inv[a]]) == vec[1]
+    assert field.inv[0] is None
+    x, y = field.from_index(q - 1), field.from_index(q // 2)
+    assert (x + y).idx == field.add[x.idx * q + y.idx] and (x * y).idx == field.mul[x.idx * q + y.idx]
+    assert (x - y) + y == x and x * y / y == x and x.inverse().idx == field.inv[x.idx]
+    with pytest.raises(ZeroDivisionError):
+        field.zero.inverse()
+
+
+def test_element_keeps_its_vector_view():
+    field = Field(3, 2)
+    x = field.element((2, 1))
+    assert x.index() == 5 and x.coeffs == (2, 1) and x.to_json() == [2, 1]
+    assert repr(x) == "2+x" and repr(field.element(7)) == "1"
+    assert field.element(-1) == field.from_index(2) == 2
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_extension_arithmetic_matches_sympy(p, e):
+    """GF(p^e) products reduced with sympy's gf_rem, and inverses from
+    its extended Euclid, against the tables."""
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    field = Field(p, e)
+    modulus = list(reversed(field.modulus))
+
+    def big_endian(k):
+        return gt.gf_strip(list(reversed(field.vec[k])))
+
+    rng = random.Random(p * 100 + e)
+    for _ in range(300):
+        a, b = rng.randrange(field.q), rng.randrange(field.q)
+        want = gt.gf_rem(gt.gf_mul(big_endian(a), big_endian(b), p, ZZ), modulus, p, ZZ)
+        assert big_endian((field.from_index(a) * field.from_index(b)).idx) == want
+        if a:
+            s, _, h = gt.gf_gcdex(big_endian(a), modulus, p, ZZ)
+            assert h == [1] and big_endian(field.from_index(a).inverse().idx) == s

@@ -8,6 +8,7 @@ from quatlat.lattice import (
     LatticeParams,
     ParameterMismatchError,
     Presentation,
+    SquareSolveError,
     build_generators,
     build_square_table,
     check_finite_lemmas,
@@ -105,6 +106,43 @@ def test_solve_square_dictionary_relations(q3):
     assert solve_square(q3, a, y) == (-y, -b)  # ay = y^-1 b^-1
     assert solve_square(q3, a, -y) == (x, -a)  # ay^-1 = x a^-1
     assert solve_square(q3, b, x) == (y, -b)  # bx = y b^-1
+
+
+def _scan_square(params, xi, eta):
+    """Every (lambda, mu) solving the square system, by scanning lambda
+    over the B fiber (the closed form's independent oracle)."""
+    total, prod = xi + eta, xi * eta.conj()
+    found = []
+    for lam in norm_fiber(params.ext, params.b_norm_target):
+        mu = total - lam
+        if not mu.is_zero() and mu.norm() == params.a_norm_target and lam * mu.conj() == prod:
+            found.append((lam, mu))
+    return found
+
+
+def _closed_form_cases():
+    # every tau for q = 3 .. 11 (25 pairs, e = 2 at q = 9), one tau at q = 25
+    cases = [(p, e, k) for p, e in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1)) for k in range(2, p**e)]
+    return cases + [(5, 2, 7)]
+
+
+@pytest.mark.parametrize("p,e,k", _closed_form_cases())
+def test_closed_form_solve_square_matches_fiber_scan(p, e, k):
+    field = Field(p, e)
+    params = LatticeParams(QuadExt(field, find_nonsquare(field)), field.from_index(k))
+    fiber_a, fiber_b = build_generators(params)
+    for xi in fiber_a:
+        for eta in fiber_b:
+            assert [solve_square(params, xi, eta)] == _scan_square(params, xi, eta)
+
+
+def test_solve_square_refuses_a_system_without_solution(q5):
+    fiber_a, _ = build_generators(q5)
+    xi = fiber_a[0]
+    with pytest.raises(SquareSolveError):
+        solve_square(q5, xi, -xi)  # xi + eta = 0
+    with pytest.raises(SquareSolveError):
+        solve_square(q5, xi, xi)  # eta off the B fiber: N(lambda) != s_B
 
 
 def test_commuting_solution_shape(q5):

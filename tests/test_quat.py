@@ -135,6 +135,31 @@ def test_poly_gcd_divides():
             assert (a % g).is_zero() and (b % g).is_zero()
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_divmod_and_gcd_match_sympy(p):
+    """GF(p)[t] division and gcd against sympy's galoistools; over a
+    prime field a coefficient's index is its residue."""
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(p)
+    field = make_field(p)
+
+    def big_endian(poly):
+        return list(reversed(poly.idx))
+
+    for _ in range(200):
+        a = rand_poly(rng, field, rng.randint(0, 8))
+        b = rand_poly(rng, field, rng.randint(0, 5))
+        # a shared factor, so that some gcds are nontrivial
+        f = rand_poly(rng, field, rng.randint(0, 2))
+        a, b = a * f, b * f
+        assert big_endian(poly_gcd(a, b)) == gt.gf_gcd(big_endian(a), big_endian(b), p, ZZ)
+        if b:
+            q, r = divmod(a, b)
+            assert (big_endian(q), big_endian(r)) == gt.gf_div(big_endian(a), big_endian(b), p, ZZ)
+
+
 def test_ratfun_canonical():
     field = make_field(3)
     t = Poly.t(field)
