@@ -87,7 +87,10 @@ def _parse_remap(arg: str | None):
 
 
 def _spec_from_args(pres, args) -> parikh.BoundedLanguageSpec:
-    words = tuple(rewrite.parse_word(pres, w) for w in args.words.split(";"))
+    try:
+        words = tuple(rewrite.parse_word(pres, w) for w in args.words.split(";"))
+    except ValueError as exc:
+        raise ValueError(f"--words {args.words!r}: {exc}") from None
     return parikh.BoundedLanguageSpec(
         words, signed=args.signed, remap=_parse_remap(args.remap)
     )
@@ -369,7 +372,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -186,10 +186,16 @@ class Presentation:
     """An inverse-closed two-alphabet presentation with a total swap map.
 
     `swap` is the table as a dict, read by validation, the algebra
-    oracle and JSON.  The rewriting core reads the same table as two flat
-    lists indexed by letter.code * n + cur.code, with n the number of
-    letters: `_push_b` takes (A letter, B letter) to the pair (b', a') of
-    a*b = b'*a', and `_push_a` takes (b', a') back to (a, b)."""
+    oracle and JSON.  The rewriting core reads the same table as
+    `_rows`, one list of n + 1 entries per letter code, with n the
+    number of letters: the row of a letter takes each letter of the other
+    side to the pair (row of the pushed letter after the swap, code of
+    the other letter after it).  For a*b = b'*a', the B letter b pushed
+    left through a is `_rows[b][a] = (_rows[b'], a')`, and the A letter
+    a' pushed left through b' is `_rows[a'][b'] = (_rows[a], b)`.  The
+    last entry of a row is its own letter's code; entries at letters of
+    its own side are None.  `_inv_code` is the inverse on codes and
+    `_letters` decodes them."""
 
     def __init__(
         self,
@@ -217,12 +223,13 @@ class Presentation:
             object.__setattr__(l, "code", code)
         self._validate()
         self.squares = self._collect_squares()
-        n = self._n_codes = len(letters)
-        self._push_b = [None] * (n * n)
-        self._push_a = [None] * (n * n)
+        n = len(letters)
+        self._letters = letters
+        self._inv_code = [inverse[l].code for l in letters]
+        rows = self._rows = [[None] * n + [c] for c in range(n)]
         for (a, b), (b2, a2) in swap.items():
-            self._push_b[a.code * n + b.code] = (b2, a2)
-            self._push_a[b2.code * n + a2.code] = (a, b)
+            rows[b.code][a.code] = (rows[b2.code], a2.code)
+            rows[a2.code][b2.code] = (rows[a.code], b.code)
 
     def _validate(self):
         la, lb = self.alphabet_a, self.alphabet_b

@@ -11,15 +11,16 @@ letter by letter with `append_letter`, so the work is O(N^ceil(d/2))
 forms instead of O(N^d), and the table holds O(N^floor(d/2)).  For d = 1
 the suffix is empty and the table holds only the empty form.
 
-The table is one dict keyed by a `str` with one character per letter
-code of a_part + b_part.  A-codes come before B-codes, so a key fixes
-the split, and it hashes in C.  A str stores one byte a character while
-the alphabet has at most 256 letters and two up to 65536, so the keys
-stay compact and exact for any alphabet.  A key holds the list of the
-suffix exponents that reach its form; it has more than one when a block
-freely reduces to the identity.  With prune=False one walk over all d
-blocks, keeping the products that reduce to the identity, is the
-brute-force oracle the search is checked against.
+The walks carry the parts as tuples of letter codes, as `append_letter`
+returns them, and the table is one dict keyed by a `str` with one
+character per code of a_part + b_part.  A-codes come before B-codes, so
+a key fixes the split, and it hashes in C.  A str stores one byte a
+character while the alphabet has at most 256 letters and two up to
+65536, so the keys stay compact and exact for any alphabet.  A key
+holds the list of the suffix exponents that reach its form; it has more
+than one when a block freely reduces to the identity.  With prune=False
+one walk over all d blocks, keeping the products that reduce to the
+identity, is the brute-force oracle the search is checked against.
 
 `enumerate_parikh(jobs=...)` is a leftover: it must be at least 1 and
 changes nothing, since every value runs the search in this process (a
@@ -110,8 +111,8 @@ def _directions(pres, spec):
 
 
 def _key(chars, u, v):
-    """A form's table key: the character chars[code] of each letter."""
-    return "".join([chars[g.code] for g in u + v])
+    """A form's table key: the character chars[c] of each code c."""
+    return "".join([chars[c] for c in u + v])
 
 
 def _meet(pres, spec, bound):
@@ -123,7 +124,7 @@ def _meet(pres, spec, bound):
     suffix = tuple(
         [(pres.invert_word(w), sign) for w, sign in block] for block in reversed(blocks[h:])
     )
-    chars = [chr(c) for c in range(pres._n_codes)]  # indexing builds keys faster than chr()
+    chars = [chr(c) for c in range(len(pres._letters))]  # indexing builds keys faster than chr()
     table = {}
     for u, v, exps in _products(pres, suffix, bound):
         table.setdefault(_key(chars, u, v), []).append(exps[::-1])

@@ -10,14 +10,17 @@ current form is pushed through the other component one swap at a time
 reduced into its own component, so the total length never increases.
 
 The swap table is a bireversible Mealy automaton: the pushed letter is
-its state, the letters of the component are its input.  Each swap reads
-one of the presentation's two flat transition lists (one per side of the
-pushed letter) at letter.code * n + state.code, so no label is hashed on
-the way through; `pres.swap`, the dict form, stays the source of truth.
+its state, the letters of the component are its input.  Inside the
+rewriting core a word is a tuple of letter codes (positions in
+alphabet_a + alphabet_b), and the automaton is the presentation's row
+table, one row per letter code: a swap is `row, x = row[x]`, with no
+label hashed or compared on the way through.  `pres.swap`, the dict
+form, stays the source of truth.  Labels appear only at the edges:
+`append_letter` receives the arriving letter as a label and returns code
+parts, and `normal_form` decodes its result once.
 
-The word problem is: both components empty.  Words are plain tuples of
-labels; the table is never mutated, so everything here is safe to call
-concurrently.
+The word problem is: both components empty.  The tables are never
+mutated, so everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -66,53 +69,53 @@ def free_reduce(pres: Presentation, w: Word) -> Word:
     return tuple(out)
 
 
-def _push_through(table, n, word, g):
-    """Rewrite word * g as g' * word' for a one-sided word and a letter g
-    of the other side; `table` holds the swapped pair of (letter of word,
-    g) at letter.code * n + g.code, so it is pres._push_b for an A-word
-    and pres._push_a for a B-word."""
+def _push_through(row, word):
+    """Rewrite word * c as c' * word' for a one-sided code word and the
+    row of a letter c of the other side; returns (c', word')."""
     out = []
-    cur = g
-    for letter in reversed(word):
-        cur, l2 = table[letter.code * n + cur.code]
-        out.append(l2)
+    app = out.append
+    for x in reversed(word):
+        row, x2 = row[x]
+        app(x2)
     out.reverse()
-    return cur, tuple(out)
+    return row[-1], tuple(out)
 
 
-def append_letter(pres: Presentation, a_part: Word, b_part: Word, g: GenLabel, order: str = "AB"):
-    """One step of normal-form computation: tack g on the right of the
-    element a_part * b_part (order 'AB') or b_part * a_part ('BA')."""
-    inverse = pres.inverse
+def append_letter(pres: Presentation, a_part: tuple, b_part: tuple, g: GenLabel, order: str = "AB"):
+    """One step of normal-form computation: tack the letter g on the
+    right of the element a_part * b_part (order 'AB') or b_part * a_part
+    ('BA'), whose parts are tuples of letter codes."""
+    c = g.code
+    inv_code = pres._inv_code
     if order == "AB":
         if g.side == "B":
-            if b_part and b_part[-1] == inverse[g]:
+            if b_part and b_part[-1] == inv_code[c]:
                 return a_part, b_part[:-1]
-            return a_part, b_part + (g,)
-        g2, b_part = _push_through(pres._push_a, pres._n_codes, b_part, g)
-        if a_part and a_part[-1] == inverse[g2]:
+            return a_part, b_part + (c,)
+        c, b_part = _push_through(pres._rows[c], b_part)
+        if a_part and a_part[-1] == inv_code[c]:
             return a_part[:-1], b_part
-        return a_part + (g2,), b_part
+        return a_part + (c,), b_part
     if g.side == "A":
-        if a_part and a_part[-1] == inverse[g]:
+        if a_part and a_part[-1] == inv_code[c]:
             return a_part[:-1], b_part
-        return a_part + (g,), b_part
-    g2, a_part = _push_through(pres._push_b, pres._n_codes, a_part, g)
-    if b_part and b_part[-1] == inverse[g2]:
+        return a_part + (c,), b_part
+    c, a_part = _push_through(pres._rows[c], a_part)
+    if b_part and b_part[-1] == inv_code[c]:
         return a_part, b_part[:-1]
-    return a_part, b_part + (g2,)
+    return a_part, b_part + (c,)
 
 
 def normal_form(pres: Presentation, w: Word, order: str = "AB") -> NormalForm:
     """The unique two-sided normal form of w, in the requested order."""
     if order not in ("AB", "BA"):
         raise ValueError(f"order must be 'AB' or 'BA', not {order!r}")
-    a_part: Word = ()
-    b_part: Word = ()
+    a_part = b_part = ()
     for g in w:
         a_part, b_part = append_letter(pres, a_part, b_part, g, order)
     assert len(a_part) + len(b_part) <= len(w), "normal form grew"
-    return NormalForm(a_part, b_part, order)
+    letters = pres._letters
+    return NormalForm(tuple([letters[c] for c in a_part]), tuple([letters[c] for c in b_part]), order)
 
 
 def is_identity(pres: Presentation, w: Word) -> bool:
@@ -186,12 +189,15 @@ def parse_word(pres: Presentation, text: str) -> Word:
         return ()
     for token in text.split(","):
         token = token.strip()
-        if "^" in token:
-            base, _, exp = token.partition("^")
-            n = int(exp)
-        else:
-            base, n = token, 1
-        label = pres.label(base.strip())
+        base, caret, exp = token.partition("^")
+        base = base.strip()
+        if caret and not base:
+            raise ValueError(f"word token {token!r} has no generator before '^'")
+        try:
+            n = int(exp) if caret else 1
+        except ValueError:
+            raise ValueError(f"word token {token!r} has no integer exponent after '^'") from None
+        label = pres.label(base)
         if n < 0:
             label, n = pres.inverse[label], -n
         letters.extend([label] * n)

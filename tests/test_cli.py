@@ -373,3 +373,18 @@ def test_construct_with_q(capsys):
     assert len(data["table"]) == 100
     code, _ = run(capsys, "construct", "--q", "6", "--c", "2", "--tau", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("words,token", [("a^x;x", "a^x"), ("a^;x", "a^"), ("^2;x", "^2")])
+def test_malformed_word_tokens_name_the_flag(capsys, words, token):
+    code = main(["parikh", "--lattice", "gamma3", "--words", words, "--bound", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: --words {words!r}: word token {token!r} "), captured.err
+
+
+def test_unknown_generator_message_is_printed_unquoted(capsys):
+    code = main(["parikh", "--lattice", "gamma3", "--words", "a;z", "--bound", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: unknown generator token 'z'\n"

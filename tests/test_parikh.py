@@ -152,15 +152,16 @@ def test_table_keys_are_exact():
     """Distinct code sequences give distinct keys, also past 256
     letters."""
     import itertools
-    from types import SimpleNamespace
 
     from quatlat.parikh import _key
 
     codes = (0, 1, 255, 256, 257, 65535, 65536)
     chars = [chr(c) for c in range(max(codes) + 1)]
     words = [w for n in range(4) for w in itertools.product(codes, repeat=n)]
-    keys = {_key(chars, tuple(SimpleNamespace(code=c) for c in w), ()) for w in words}
+    keys = {_key(chars, w, ()) for w in words}
     assert len(keys) == len(words)
+    for w in words:  # the key reads u + v, wherever the split falls
+        assert {_key(chars, w[:k], w[k:]) for k in range(len(w) + 1)} == {_key(chars, w, ())}
 
 
 @pytest.mark.parametrize("jobs", [0, -4])

@@ -1,11 +1,13 @@
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 
 from quatlat.ff import Field, QuadExt, find_nonsquare
 from quatlat.lattice import LatticeParams, build_square_table, named_presentation
+from quatlat.parikh import PowerDiagonal
 from quatlat.presets import get_presentation
 from quatlat.rewrite import (
     MixedSidesError,
@@ -58,6 +60,12 @@ def test_parse_format_roundtrip(g3):
     assert parse_word(g3, "x^-1") == (g3.inverse[g3.label("x")],)
     with pytest.raises(KeyError):
         parse_word(g3, "z")
+
+
+@pytest.mark.parametrize("text,token", [("a^x", "a^x"), ("a,b^", "b^"), ("^2", "^2"), ("a^-", "a^-")])
+def test_parse_word_names_a_malformed_token(g3, text, token):
+    with pytest.raises(ValueError, match=re.escape(f"word token {token!r}")):
+        parse_word(g3, text)
 
 
 def test_free_reduce(g3):
@@ -125,8 +133,10 @@ def test_append_letter_matches_normal_form(g3):
             u, v = (), ()
             for letter in w:
                 u, v = append_letter(g3, u, v, letter, order)
+            assert all(type(c) is int for c in u + v)
             nf = normal_form(g3, w, order)
-            assert (u, v) == (nf.a_part, nf.b_part)
+            letters = g3.alphabet_a + g3.alphabet_b
+            assert (tuple(letters[c] for c in u), tuple(letters[c] for c in v)) == (nf.a_part, nf.b_part)
 
 
 def test_identity_examples(g3):
@@ -257,16 +267,28 @@ def reference_normal_form(pres, w, order):
     return tuple(parts["A"]), tuple(parts["B"])
 
 
-def test_flat_swap_tables_match_the_dict(table_zoo):
+def test_swap_rows_match_the_dict(table_zoo):
     for pres in table_zoo:
         letters = pres.alphabet_a + pres.alphabet_b
         n = len(letters)
         assert [l.code for l in letters] == list(range(n))
+        assert pres._inv_code == [pres.inverse[l].code for l in letters]
+        rows = pres._rows
+        assert len(rows) == n
+        for c in range(n):
+            assert len(rows[c]) == n + 1 and rows[c][n] == c
+        # a*b = b2*a2: b pushed left through a is rows[b][a], a2 pushed
+        # left through b2 is rows[a2][b2]
         for (a, b), (b2, a2) in pres.swap.items():
-            assert pres._push_b[a.code * n + b.code] == (b2, a2)
-            assert pres._push_a[b2.code * n + a2.code] == (a, b)
-        for table in (pres._push_b, pres._push_a):
-            assert sum(entry is not None for entry in table) == len(pres.swap)
+            assert rows[b.code][a.code][0] is rows[b2.code]
+            assert rows[b.code][a.code][1] == a2.code
+            assert rows[a2.code][b2.code][0] is rows[a.code]
+            assert rows[a2.code][b2.code][1] == b.code
+        # the swap dict is total on A x B, so every entry at a letter of
+        # the other side is filled and every other entry is empty
+        for c in range(n):
+            for x in range(n):
+                assert (rows[c][x] is not None) == (letters[c].side != letters[x].side), (pres, c, x)
 
 
 def test_normal_forms_match_dict_reference(table_zoo):
@@ -277,6 +299,25 @@ def test_normal_forms_match_dict_reference(table_zoo):
             for order in ("AB", "BA"):
                 nf = normal_form(pres, w, order)
                 assert (nf.a_part, nf.b_part) == reference_normal_form(pres, w, order), pres
+
+
+@pytest.mark.parametrize("name", ["gamma32", "q5"])
+def test_long_normal_forms_match_dict_reference(name):
+    """Words past 30 letters push letters through long components."""
+    pres = get_presentation(name)
+    rng = random.Random(49)
+    for _ in range(12):
+        w = rand_word(rng, pres, rng.randint(31, 160))
+        for order in ("AB", "BA"):
+            nf = normal_form(pres, w, order)
+            assert (nf.a_part, nf.b_part) == reference_normal_form(pres, w, order)
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 27, 81])
+def test_power_diagonal_words(g3, n):
+    a, x, b = (g3.label(t) for t in "axb")
+    word = (a,) * n + (x,) * n + (g3.inverse[b],) * n + (x,) * n
+    assert is_identity(g3, word) == PowerDiagonal(9, 4).contains((n,) * 4)
 
 
 def test_pickled_presentation_keeps_codes(table_zoo):
