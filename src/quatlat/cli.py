@@ -2,8 +2,9 @@
 
 Subcommands: construct, verify, parikh, compare, growth, repro.
 Exit codes: 0 success, 1 verification or comparison failure, 2 bad
-usage or parameters.  All output is UTF-8 JSON, newline-terminated,
-byte-identical for identical configurations.
+usage or parameters.  Every command but repro prints UTF-8 JSON,
+newline-terminated, byte-identical for identical configurations; repro
+prints one text line per acceptance check.
 """
 
 from __future__ import annotations
@@ -96,37 +97,8 @@ def _spec_from_args(pres, args) -> parikh.BoundedLanguageSpec:
     )
 
 
-def _field_value(text: str):
-    # bare integer for prime fields, comma-separated coefficients otherwise
-    if "," in text:
-        return [int(x) for x in text.split(",")]
-    return int(text)
-
-
-def _factor_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            if q != 1:
-                raise ValueError("q must be a prime power")
-            return p, e
-    raise ValueError("q must be a prime power >= 3")
-
-
 def cmd_construct(args) -> int:
-    if args.q is not None:
-        if args.p is not None:
-            raise ValueError("give either --q or --p/--e, not both")
-        p, e = _factor_prime_power(args.q)
-    elif args.p is not None:
-        p, e = args.p, args.e
-    else:
-        raise ValueError("one of --q or --p is required")
-    params = LatticeParams.make(p, e, _field_value(args.c), _field_value(args.tau))
-    pres = lattice.build_square_table(params)
+    pres = _load_lattice(args.lattice)
     data = pres.to_json()
     data["table"] = [
         {"a": a.to_json(), "b": b.to_json(), "b2": b2.to_json(), "a2": a2.to_json()}
@@ -232,28 +204,33 @@ def _power_diagonal(flag: str, descriptor: str) -> parikh.PowerDiagonal:
     return parikh.PowerDiagonal(m, d)
 
 
-def _registered_expected(args):
-    if args.lattice is None or args.words is None:
-        raise ValueError("a registry lookup needs both --lattice and --words")
-    key = f"{args.lattice}/{args.words}"
-    try:
-        return presets.EXAMPLES[key].expected
-    except KeyError:
-        raise ValueError(f"no registered expected set for {key!r}") from None
-
-
-def _expected_from_descriptor(descriptor, pres, args):
+def _read_set(flag: str, descriptor: str, args, pres=None, spec=None):
+    """The set a --expected or --set descriptor names: the registry entry
+    of --lattice/--words, a power diagonal, a points file or, given the
+    spec of the enumerated language, the prediction for its blocks."""
     if descriptor == "registry":
-        return _registered_expected(args)
-    if descriptor.startswith("power-diagonal"):
-        if ":" in descriptor:
-            return _power_diagonal("--expected", descriptor)
-        tokens = [w for w in args.words.split(";")]
-        return parikh.power_diagonal_prediction(pres, tokens)
+        if args.lattice is None or args.words is None:
+            raise ValueError(f"{flag} registry needs both --lattice and --words")
+        key = f"{args.lattice}/{args.words}"
+        if key not in presets.EXAMPLES:
+            raise ValueError(f"{flag} registry: no registered expected set for {key!r}")
+        return presets.EXAMPLES[key].expected
+    if descriptor.startswith("power-diagonal:"):
+        return _power_diagonal(flag, descriptor)
+    if descriptor == "power-diagonal" and spec is not None:
+        if any(len(w) != 1 for w in spec.words):
+            raise ValueError(f"{flag} {descriptor!r} needs --words blocks of one letter each")
+        try:
+            return parikh.power_diagonal_prediction(pres, [w[0].token() for w in spec.words])
+        except ValueError as exc:
+            raise ValueError(f"{flag} {descriptor!r}: {exc}") from None
     if os.path.exists(descriptor):
-        with open(descriptor, encoding="utf-8") as fh:
-            return [tuple(p) for p in json.load(fh)["points"]]
-    raise ValueError(f"cannot interpret --expected {descriptor!r}")
+        try:
+            with open(descriptor, encoding="utf-8") as fh:
+                return [tuple(p) for p in json.load(fh)["points"]]
+        except (OSError, ValueError, KeyError, TypeError):
+            raise ValueError(f"{flag} {descriptor!r} is not a JSON file with a points list") from None
+    raise ValueError(f"cannot interpret {flag} {descriptor!r}")
 
 
 def cmd_compare(args) -> int:
@@ -273,7 +250,7 @@ def cmd_compare(args) -> int:
         spec = _spec_from_args(pres, args)
     if args.bound is None:
         raise ValueError("--bound is required without a registry entry")
-    expected = _expected_from_descriptor(args.expected, pres, args)
+    expected = _read_set("--expected", args.expected, args, pres, spec)
     points = parikh.enumerate_parikh(pres, spec, args.bound)
     report = parikh.compare(points, expected, args.bound)
     _dump(
@@ -290,17 +267,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    if args.set.startswith("power-diagonal:"):
-        obj = _power_diagonal("--set", args.set)
-    elif args.set == "registry":
-        obj = _registered_expected(args)
-        if callable(obj):
-            obj = obj(args.n)
-    elif os.path.exists(args.set):
-        with open(args.set, encoding="utf-8") as fh:
-            obj = [tuple(p) for p in json.load(fh)["points"]]
-    else:
-        raise ValueError(f"cannot interpret --set {args.set!r}")
+    obj = _read_set("--set", args.set, args)
     _dump({"n": args.n, "growth": parikh.growth(obj, args.n)}, args.out)
     return 0
 
@@ -314,12 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="quatlat", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build a parametric presentation")
-    p.add_argument("--q", type=int, help="prime power; alternative to --p/--e")
-    p.add_argument("--p", type=int)
-    p.add_argument("--e", type=int, default=1)
-    p.add_argument("--c", required=True, help="int, or comma-separated coefficients for e > 1")
-    p.add_argument("--tau", required=True)
+    p = sub.add_parser("construct", help="write a presentation with its swap table")
+    p.add_argument("--lattice", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_construct)
 

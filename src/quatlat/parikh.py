@@ -319,12 +319,10 @@ def expected_points(expected, n: int) -> frozenset:
 
 
 def growth(obj, n: int) -> int:
-    """Number of member tuples with all |coordinates| <= n."""
+    """Number of distinct member tuples with all |coordinates| <= n."""
     if n < 0:
         raise ValueError(f"growth needs n >= 0, got {n}")
-    if hasattr(obj, "enumerate_box"):
-        return len(obj.enumerate_box(n))
-    return sum(1 for p in obj if all(abs(x) <= n for x in p))
+    return len(expected_points(obj, n))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,7 +13,7 @@ def run(capsys, *argv):
 
 
 def test_construct_q3(capsys, tmp_path):
-    code, out = run(capsys, "construct", "--p", "3", "--c", "-1", "--tau", "-1")
+    code, out = run(capsys, "construct", "--lattice", "p=3,c=-1,tau=-1")
     assert code == 0
     data = json.loads(out)
     assert data["kind"] == "parametric"
@@ -23,14 +24,14 @@ def test_construct_q3(capsys, tmp_path):
 
 
 def test_construct_deterministic(capsys):
-    _, out1 = run(capsys, "construct", "--p", "5", "--c", "2", "--tau", "3")
-    _, out2 = run(capsys, "construct", "--p", "5", "--c", "2", "--tau", "3")
+    _, out1 = run(capsys, "construct", "--lattice", "p=5,c=2,tau=3")
+    _, out2 = run(capsys, "construct", "--lattice", "p=5,c=2,tau=3")
     assert out1 == out2
     assert out1.endswith("\n")
 
 
 def test_construct_rejects_square_c(capsys):
-    code, _ = run(capsys, "construct", "--p", "3", "--c", "1", "--tau", "-1")
+    code, _ = run(capsys, "construct", "--lattice", "p=3,c=1,tau=-1")
     assert code == 2
 
 
@@ -64,9 +65,7 @@ def test_verify_param_lattice(capsys):
 
 def test_verify_from_file(capsys, tmp_path):
     path = tmp_path / "lat.json"
-    code, _ = run(
-        capsys, "construct", "--p", "3", "--c", "-1", "--tau", "-1", "--out", str(path)
-    )
+    code, _ = run(capsys, "construct", "--lattice", "p=3,c=-1,tau=-1", "--out", str(path))
     assert code == 0
     code, out = run(capsys, "verify", "--lattice", str(path), "--suite", "oracle")
     assert code == 0
@@ -155,45 +154,18 @@ def test_compare_mismatch_exits_nonzero(capsys):
 
 
 def test_compare_power_diagonal_auto(capsys):
-    code, out = run(
-        capsys,
-        "compare",
-        "--lattice",
-        "q5",
-        "--words",
-        "A0;B0;A3;B1",
-        "--bound",
-        "8",
-        "--expected",
-        "power-diagonal",
-    )
-    # words must be a defining square with non-commuting corners; find one
-    if code != 0:
-        pres_words = None
-        from quatlat.presets import get_presentation
+    # the words a;b;a2^-1;b2^-1 of the first non-commuting square ab = b2a2
+    from quatlat.presets import get_presentation
 
-        pres = get_presentation("q5")
-        sq = [s for s in pres.squares if not s.commuting][0]
-        pres_words = ";".join(
-            [
-                sq.a.token(),
-                sq.b.token(),
-                pres.inverse[sq.a2].token(),
-                pres.inverse[sq.b2].token(),
-            ]
-        )
-        code, out = run(
-            capsys,
-            "compare",
-            "--lattice",
-            "q5",
-            "--words",
-            pres_words,
-            "--bound",
-            "8",
-            "--expected",
-            "power-diagonal",
-        )
+    pres = get_presentation("q5")
+    sq = [s for s in pres.squares if not s.commuting][0]
+    words = ";".join(
+        g.token() for g in (sq.a, sq.b, pres.inverse[sq.a2], pres.inverse[sq.b2])
+    )
+    code, out = run(
+        capsys, "compare", "--lattice", "q5", "--words", words, "--bound", "8",
+        "--expected", "power-diagonal",
+    )
     assert code == 0
     assert json.loads(out)["ok"]
 
@@ -278,12 +250,12 @@ def test_malformed_lattice_parameters_name_the_flag(capsys, arg):
 
 def test_lattice_parameters_take_coefficient_vectors(capsys, tmp_path):
     """e > 1 needs a non-F_p constant: c = 1 + x and tau = x over F_9,
-    the lattice of `construct --q 9 --c 1,1 --tau 0,1`."""
+    written to a file by `construct` and read back."""
     code, out = run(capsys, "verify", "--lattice", "p=3,e=2,c=1:1,tau=0:1", "--suite", "oracle")
     assert code == 0 and json.loads(out) == {
         "ok": True, "suites": {"oracle": {"ok": True, "checked": 100, "failures": []}}}
     path = tmp_path / "q9.json"
-    assert run(capsys, "construct", "--q", "9", "--c", "1,1", "--tau", "0,1", "--out", str(path))[0] == 0
+    assert run(capsys, "construct", "--lattice", "p=3,e=2,c=1:1,tau=0:1", "--out", str(path))[0] == 0
     assert run(capsys, "verify", "--lattice", str(path), "--suite", "all") == run(
         capsys, "verify", "--lattice", "p=3,e=2,c=1:1,tau=0:1", "--suite", "all")
 
@@ -365,13 +337,13 @@ def test_verify_rejects_malformed_powers(capsys, powers):
 
 def test_construct_with_q(capsys):
     # q = 9: coefficient-vector inputs; 1+x is the first non-square
-    code, out = run(capsys, "construct", "--q", "9", "--c", "1,1", "--tau", "0,1")
+    code, out = run(capsys, "construct", "--lattice", "p=3,e=2,c=1:1,tau=0:1")
     assert code == 0
     data = json.loads(out)
     assert data["params"]["field"]["p"] == 3
     assert data["params"]["field"]["e"] == 2
     assert len(data["table"]) == 100
-    code, _ = run(capsys, "construct", "--q", "6", "--c", "2", "--tau", "3")
+    code, _ = run(capsys, "construct", "--lattice", "p=6,c=2,tau=3")
     assert code == 2
 
 
@@ -388,3 +360,69 @@ def test_unknown_generator_message_is_printed_unquoted(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: unknown generator token 'z'\n"
+
+
+def test_old_construct_flags_are_gone(capsys):
+    for flag, value in (("--q", "9"), ("--p", "3"), ("--e", "1"), ("--c", "2"), ("--tau", "3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--lattice", "q3", flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, flag
+        assert captured.out == ""
+        assert flag in captured.err, captured.err
+
+
+# sha256 of construct stdout, pinned from the parameter flags construct
+# took before it read --lattice (the third is the q3 preset's lattice)
+CONSTRUCT_DIGESTS = {
+    "p=5,e=1,c=2,tau=3": "37ed71280a9acde250cedee671404b01257f8b99b5eb0167181b356d18895c20",
+    "p=3,e=2,c=1:1,tau=0:1": "c33c1af2cc64bc7cd795d29401bdb4da699a25c842bd4ce04830380f23196962",
+    "q3": "37a7fa5b713cca10430dcfe805cc57769e759c5fef67f19b26dddb65be14f4c2",
+}
+
+
+@pytest.mark.parametrize("lattice", sorted(CONSTRUCT_DIGESTS))
+def test_construct_output_is_pinned(capsys, lattice):
+    code, out = run(capsys, "construct", "--lattice", lattice)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTRUCT_DIGESTS[lattice]
+
+
+def test_construct_writes_named_lattices(capsys, tmp_path):
+    path = tmp_path / "gamma3.json"
+    assert run(capsys, "construct", "--lattice", "gamma3", "--out", str(path)) == (0, "")
+    assert run(capsys, "verify", "--lattice", str(path), "--suite", "all") == run(
+        capsys, "verify", "--lattice", "gamma3", "--suite", "all")
+
+
+def test_compare_power_diagonal_reads_the_parsed_words(capsys):
+    argv = ["compare", "--lattice", "q5", "--bound", "6", "--expected", "power-diagonal", "--words"]
+    code, plain = run(capsys, *argv, "A0;B0;A1;B0")
+    assert code == 0 and json.loads(plain)["ok"]
+    assert run(capsys, *argv, "A0^1;B0;A1;B0") == (0, plain)
+    code = main([*argv, "A0^2;B0;A1;B0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--expected 'power-diagonal'" in captured.err, captured.err
+
+
+def test_unreadable_set_descriptors_name_their_flag(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json", encoding="utf-8")
+    for descriptor in ("nope", str(bad)):
+        for argv, flag in (
+            (["growth", "--n", "5", "--set", descriptor], "--set"),
+            (["compare", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "3",
+              "--expected", descriptor], "--expected"),
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert f"{flag} {descriptor!r}" in captured.err, captured.err
+
+
+def test_growth_counts_a_repeated_point_once(capsys, tmp_path):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [[1, 1], [1, 1], [0, 0], [7, 0]]}), encoding="utf-8")
+    code, out = run(capsys, "growth", "--set", str(path), "--n", "5")
+    assert code == 0 and json.loads(out)["growth"] == 2
