@@ -7,7 +7,7 @@ oracle, and enumerates Parikh images of the word problem intersected
 with bounded languages.
 """
 
-from .ff import Field, FieldElem, QuadExt, QuadElem, find_nonsquare, make_field
+from .ff import Field, FieldElem, QuadExt, QuadElem, find_nonsquare
 from .lattice import (
     GenLabel,
     LatticeParams,
@@ -46,7 +46,6 @@ __all__ = [
     "QuadExt",
     "QuadElem",
     "find_nonsquare",
-    "make_field",
     "GenLabel",
     "LatticeParams",
     "Presentation",

@@ -31,8 +31,13 @@ def _load_lattice(arg: str) -> Presentation:
     if arg in presets.PRESET_NAMES:
         return presets.get_presentation(arg)
     if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            return lattice.presentation_from_json(json.load(fh))
+        try:
+            with open(arg, encoding="utf-8") as fh:
+                return lattice.presentation_from_json(json.load(fh))
+        except (OSError, json.JSONDecodeError, KeyError, TypeError):
+            raise ValueError(f"--lattice {arg!r} is not a presentation file as construct writes it") from None
+        except ValueError as exc:  # ComplexError, FieldError, or bad field data
+            raise ValueError(f"--lattice {arg!r}: {exc}") from None
     if "=" in arg:
         return lattice.build_square_table(_lattice_params(arg))
     raise ValueError(
@@ -227,9 +232,21 @@ def _read_set(flag: str, descriptor: str, args, pres=None, spec=None):
     if os.path.exists(descriptor):
         try:
             with open(descriptor, encoding="utf-8") as fh:
-                return [tuple(p) for p in json.load(fh)["points"]]
+                points = json.load(fh)["points"]
         except (OSError, ValueError, KeyError, TypeError):
             raise ValueError(f"{flag} {descriptor!r} is not a JSON file with a points list") from None
+        if not isinstance(points, list) or not all(
+            isinstance(p, list) and p and all(type(x) is int for x in p) for p in points
+        ):
+            raise ValueError(f"{flag} {descriptor!r}: every point must be a non-empty list of integers")
+        lengths = {len(p) for p in points}
+        if len(lengths) > 1:
+            raise ValueError(f"{flag} {descriptor!r}: points of different lengths {sorted(lengths)}")
+        if spec is not None and lengths - {spec.arity}:
+            raise ValueError(
+                f"{flag} {descriptor!r}: points of length {lengths.pop()}, but --words has {spec.arity} blocks"
+            )
+        return [tuple(p) for p in points]
     raise ValueError(f"cannot interpret {flag} {descriptor!r}")
 
 

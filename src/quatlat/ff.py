@@ -179,9 +179,6 @@ class Field:
     def __hash__(self):
         return hash((self.p, self.e, self.modulus))
 
-    def __reduce__(self):
-        return (Field, (self.p, self.e, self.modulus))
-
     def __repr__(self):
         return f"Field({self.p}, {self.e})"
 
@@ -198,9 +195,6 @@ class FieldElem:
 
     def __setattr__(self, *_):
         raise AttributeError("FieldElem is immutable")
-
-    def index(self) -> int:
-        return self.idx
 
     @property
     def coeffs(self) -> tuple:
@@ -264,9 +258,6 @@ class FieldElem:
     def __hash__(self):
         return hash(self.idx)
 
-    def __reduce__(self):
-        return (FieldElem, (self.field, self.idx))
-
     def to_json(self) -> list:
         return list(self.coeffs)
 
@@ -285,10 +276,6 @@ class FieldElem:
         return "+".join(terms) if terms else "0"
 
 
-def make_field(p: int, e: int = 1) -> Field:
-    return Field(p, e)
-
-
 def is_square(x: FieldElem) -> bool:
     if x.is_zero():
         return True
@@ -302,18 +289,6 @@ def find_nonsquare(field: Field) -> FieldElem:
         if not is_square(x):
             return x
     raise FieldError("no non-square found (is q even?)")
-
-
-def mult_order(x) -> int:
-    """Smallest n >= 1 with x^n = 1; works for F_q and F_q[Z] elements."""
-    if x.is_zero():
-        raise FieldError("multiplicative order of zero")
-    n, acc = 1, x
-    one = x.ext.one if isinstance(x, QuadElem) else x.field.one
-    while acc != one:
-        acc = acc * x
-        n += 1
-    return n
 
 
 class QuadExt:
@@ -354,9 +329,6 @@ class QuadExt:
     def __hash__(self):
         return hash((self.field, self.c))
 
-    def __reduce__(self):
-        return (QuadExt, (self.field, self.c))
-
     def __repr__(self):
         return f"QuadExt({self.field!r}, c={self.c!r})"
 
@@ -373,9 +345,6 @@ class QuadElem:
 
     def __setattr__(self, *_):
         raise AttributeError("QuadElem is immutable")
-
-    def index(self) -> int:
-        return self.u.index() + self.ext.field.q * self.v.index()
 
     def is_zero(self) -> bool:
         return self.u.is_zero() and self.v.is_zero()
@@ -439,9 +408,6 @@ class QuadElem:
 
     def __hash__(self):
         return hash((self.u, self.v))
-
-    def __reduce__(self):
-        return (QuadElem, (self.ext, self.u, self.v))
 
     def to_json(self) -> list:
         return [self.u.to_json(), self.v.to_json()]

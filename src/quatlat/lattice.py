@@ -81,12 +81,6 @@ class GenLabel:
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):
-        return (GenLabel, (self.side, self.name, self.inv, self.index), self.code)
-
-    def __setstate__(self, code):
-        object.__setattr__(self, "code", code)
-
     def to_json(self) -> dict:
         if self.index is not None:
             return {"side": self.side, "index": self.index.to_json()}

@@ -166,9 +166,6 @@ class Poly:
     def __hash__(self):
         return hash(self.idx)
 
-    def __reduce__(self):
-        return (Poly, (self.field, self.coeffs))
-
     def to_json(self) -> list:
         return [list(self.field.vec[k]) for k in self.idx]
 
@@ -268,9 +265,6 @@ class RatFun:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __reduce__(self):
-        return (RatFun, (self.num, self.den))
-
     def __repr__(self):
         if self.den == Poly.const(self.field, 1):
             return repr(self.num)
@@ -330,9 +324,6 @@ class QuatAlgebra:
     def __hash__(self):
         return hash(self.ext)
 
-    def __reduce__(self):
-        return (QuatAlgebra, (self.ext,))
-
     def __repr__(self):
         return f"QuatAlgebra(q={self.field.q}, c={self.c!r})"
 
@@ -388,9 +379,6 @@ class Quat:
             raise ValueError("negative power of a polynomial quaternion")
         return _power(self.algebra.one, self, n)
 
-    def is_scalar(self) -> bool:
-        return all(c.is_zero() for c in self.coords[1:])
-
     def projective(self) -> "ProjQuat":
         return ProjQuat(self)
 
@@ -403,9 +391,6 @@ class Quat:
 
     def __hash__(self):
         return hash(self.coords)
-
-    def __reduce__(self):
-        return (Quat, (self.algebra, self.coords))
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.coords]
@@ -473,9 +458,6 @@ class ProjQuat:
 
     def __hash__(self):
         return hash(self.coords)
-
-    def __reduce__(self):
-        return (ProjQuat, (self.lift(),))
 
     def __repr__(self):
         return f"[{self.lift()!r}]"
@@ -603,7 +585,3 @@ def gamma3_matrix_relations(mats: dict | None = None) -> dict:
         "a*y^-1 = x*a^-1": (a * yi).proj_eq(x * ai),
         "b*x = y*b^-1": (b * x).proj_eq(y * bi),
     }
-
-
-def gamma3_matrix_oracle(mats: dict | None = None) -> bool:
-    return all(gamma3_matrix_relations(mats).values())

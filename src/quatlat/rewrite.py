@@ -122,10 +122,6 @@ def is_identity(pres: Presentation, w: Word) -> bool:
     return normal_form(pres, w).is_identity
 
 
-def words_equal(pres: Presentation, w1: Word, w2: Word) -> bool:
-    return is_identity(pres, tuple(w1) + pres.invert_word(tuple(w2)))
-
-
 def pi_action(pres: Presentation, g: Word, h: Word):
     """For an A-word g and B-word h, the pair (pi_g(h), pi_h(g)) from the
     reversed normal form g*h = pi_g(h) * pi_h(g); both lengths are

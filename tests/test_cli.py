@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -388,6 +389,24 @@ def test_construct_output_is_pinned(capsys, lattice):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTRUCT_DIGESTS[lattice]
 
 
+# sha256 of stdout, with repro's per-check seconds masked as (X), and the
+# exit code (repro fails on the known-red 7b check)
+OUTPUT_DIGESTS = {
+    "verify --lattice q3 --suite all": (0, "9058698547eccc5673753e4642ee20596c923d8161ffb614ef6379566ca1a441"),
+    "verify --lattice q5 --suite all": (0, "0b9af32ff4b721bf5b2763fca0b17b9ce575e9e92f2f28f5a92d1d908862a5cf"),
+    "verify --lattice gamma3 --suite all": (0, "7bb494262bd3f48622a0159ec75142d507e18f91b8e42da10d6b1d4b50e93c83"),
+    "verify --lattice gamma4 --suite all": (0, "1e5f11c5abae81127494196e8718c1d00f734ea2a1c94343a3c76b6f4f5c7246"),
+    "repro": (1, "033e186c72ffaa238a5056514700bb21f1b207ed771f818fb52d826b16581469"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_DIGESTS))
+def test_verify_and_repro_output_is_pinned(capsys, command):
+    code, out = run(capsys, *command.split())
+    out = re.sub(r"\(\d+\.\d+s\)", "(X)", out)
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == OUTPUT_DIGESTS[command]
+
+
 def test_construct_writes_named_lattices(capsys, tmp_path):
     path = tmp_path / "gamma3.json"
     assert run(capsys, "construct", "--lattice", "gamma3", "--out", str(path)) == (0, "")
@@ -426,3 +445,67 @@ def test_growth_counts_a_repeated_point_once(capsys, tmp_path):
     path.write_text(json.dumps({"points": [[1, 1], [1, 1], [0, 0], [7, 0]]}), encoding="utf-8")
     code, out = run(capsys, "growth", "--set", str(path), "--n", "5")
     assert code == 0 and json.loads(out)["growth"] == 2
+
+
+@pytest.mark.parametrize(
+    "content,needle",
+    [
+        ("[1]", "is not a presentation file"),
+        ("nope", "is not a presentation file"),
+        ('{"kind":"named","alphabetA":[{"name":"a"}]}', "is not a presentation file"),
+        ("p=4", "characteristic 4 is not prime"),
+    ],
+    ids=["list", "not-json", "no-inv", "p=4"],
+)
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_bad_lattice_file_names_the_flag(capsys, tmp_path, command, content, needle):
+    path = tmp_path / "lattice.json"
+    if content == "p=4":
+        assert run(capsys, "construct", "--lattice", "q3", "--out", str(path)) == (0, "")
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["params"]["field"]["p"] = 4
+        content = json.dumps(data)
+    path.write_text(content, encoding="utf-8")
+    code = main([command, "--lattice", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: --lattice {str(path)!r}"), captured.err
+    assert needle in captured.err, captured.err
+
+
+@pytest.mark.parametrize(
+    "points,needle",
+    [
+        ([[]], "every point must be a non-empty list of integers"),
+        ([["a"]], "every point must be a non-empty list of integers"),
+        ([[1, True]], "every point must be a non-empty list of integers"),
+        ([[1, 2], [1, 2, 3]], "points of different lengths [2, 3]"),
+    ],
+    ids=["empty", "string", "bool", "mixed"],
+)
+def test_malformed_points_files_name_their_flag(capsys, tmp_path, points, needle):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": points}), encoding="utf-8")
+    for argv, flag in (
+        (["growth", "--n", "3", "--set", str(path)], "--set"),
+        (["compare", "--lattice", "q5", "--words", "A0;B0;A1;B1", "--bound", "2",
+          "--expected", str(path)], "--expected"),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {flag} {str(path)!r}: {needle}"), captured.err
+
+
+def test_compare_refuses_points_of_another_arity(capsys, tmp_path):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [[0, 0, 0]]}), encoding="utf-8")
+    code = main(["compare", "--lattice", "q5", "--words", "A0;B0;A1;B1", "--bound", "2",
+                 "--expected", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "points of length 3, but --words has 4 blocks" in captured.err, captured.err
+    path.write_text(json.dumps({"points": [[0, 0, 0, 0]]}), encoding="utf-8")
+    code, out = run(capsys, "compare", "--lattice", "q5", "--words", "A0;B0;A1;B1", "--bound", "2",
+                    "--expected", str(path))
+    assert code == 0 and json.loads(out)["ok"]

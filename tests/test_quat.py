@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from quatlat.ff import QuadExt, make_field, norm_fiber
+from quatlat.ff import Field, QuadExt, norm_fiber
 from quatlat.quat import (
     Mat3,
     Poly,
     QuatAlgebra,
     RatFun,
     gamma3_matrices,
-    gamma3_matrix_oracle,
     gamma3_matrix_relations,
     poly_gcd,
     verify_power_lemma,
@@ -18,18 +17,18 @@ from quatlat.quat import (
 
 @pytest.fixture
 def alg3():
-    field = make_field(3)
+    field = Field(3)
     return QuatAlgebra(QuadExt(field, field.element(-1)))
 
 
 @pytest.fixture
 def alg5():
-    field = make_field(5)
+    field = Field(5)
     return QuatAlgebra(QuadExt(field, field.element(2)))
 
 
 def _power_cases():
-    f7, f9, f3, f5 = make_field(7), make_field(3, 2), make_field(3), make_field(5)
+    f7, f9, f3, f5 = Field(7), Field(3, 2), Field(3), Field(5)
     ext5, ext3 = QuadExt(f5, f5.element(2)), QuadExt(f3, f3.element(-1))
     alg = QuatAlgebra(ext3)
     gen = alg.generator_quat(ext3.element(1))
@@ -62,7 +61,7 @@ def test_power_matches_repeated_multiplication(kind, n):
 
 
 def test_poly_power():
-    field = make_field(3)
+    field = Field(3)
     t = Poly.t(field)
     assert t**0 == Poly.const(field, 1)
     assert t**5 == t * t * t * t * t
@@ -88,7 +87,7 @@ def rand_quat(rng, alg, deg=2):
 
 def test_poly_divmod_roundtrip():
     rng = random.Random(11)
-    field = make_field(5)
+    field = Field(5)
     for _ in range(100):
         a = rand_poly(rng, field, rng.randint(0, 6))
         b = Poly(field)
@@ -106,7 +105,7 @@ def test_poly_arithmetic_stays_canonical():
     from quatlat.ff import FieldError
 
     rng = random.Random(13)
-    field = make_field(5)
+    field = Field(5)
     for _ in range(100):
         a, b = rand_poly(rng, field, rng.randint(0, 4)), rand_poly(rng, field, rng.randint(0, 4))
         c = field.element(rng.randrange(5))
@@ -116,7 +115,7 @@ def test_poly_arithmetic_stays_canonical():
         for got in results:
             assert not got.coeffs or not got.coeffs[-1].is_zero()
             assert all(c.field == field for c in got.coeffs)
-    other = Poly(make_field(7), (1, 2))
+    other = Poly(Field(7), (1, 2))
     for op in (lambda x: x + other, lambda x: x - other, lambda x: x * other, lambda x: divmod(x, other)):
         for x in (Poly(field), Poly(field, (1, 1))):
             with pytest.raises(FieldError):
@@ -125,7 +124,7 @@ def test_poly_arithmetic_stays_canonical():
 
 def test_poly_gcd_divides():
     rng = random.Random(12)
-    field = make_field(3)
+    field = Field(3)
     for _ in range(100):
         a, b = rand_poly(rng, field, 4), rand_poly(rng, field, 3)
         g = poly_gcd(a, b)
@@ -143,7 +142,7 @@ def test_divmod_and_gcd_match_sympy(p):
     from sympy.polys.domains import ZZ
 
     rng = random.Random(p)
-    field = make_field(p)
+    field = Field(p)
 
     def big_endian(poly):
         return list(reversed(poly.idx))
@@ -161,7 +160,7 @@ def test_divmod_and_gcd_match_sympy(p):
 
 
 def test_ratfun_canonical():
-    field = make_field(3)
+    field = Field(3)
     t = Poly.t(field)
     two = Poly.const(field, 2)
     r = RatFun(two * t, two * (t + Poly.const(field, 1)))
@@ -202,7 +201,7 @@ def test_conj_gives_scalar_norm(alg3):
     for _ in range(200):
         x = rand_quat(rng, alg3, rng.choice((1, 2)))
         prod = x * x.conj()
-        assert prod.is_scalar()
+        assert all(c.is_zero() for c in prod.coords[1:])
 
 
 def test_generator_embedding_examples(alg3):
@@ -220,7 +219,7 @@ def test_generator_embedding_examples(alg3):
 
 @pytest.mark.parametrize("p,c,tau", [(3, -1, -1), (5, 2, 3)])
 def test_generator_inverse_projective(p, c, tau):
-    field = make_field(p)
+    field = Field(p)
     ext = QuadExt(field, field.element(c))
     alg = QuatAlgebra(ext)
     tau_e = field.element(tau)
@@ -228,7 +227,7 @@ def test_generator_inverse_projective(p, c, tau):
     for xi in fibers:
         g = alg.generator_quat(xi)
         ginv = alg.generator_quat(-xi)
-        assert (g * ginv).is_scalar()
+        assert all(c.is_zero() for c in (g * ginv).coords[1:])
         assert (g.projective() * ginv.projective()).is_identity()
 
 
@@ -263,7 +262,7 @@ def test_ct_plus_minus_fz_distinct(alg3):
 
 def test_power_lemma_exhaustive():
     for p, c, tau in ((3, -1, -1), (5, 2, 3)):
-        field = make_field(p)
+        field = Field(p)
         ext = QuadExt(field, field.element(c))
         alg = QuatAlgebra(ext)
         tau_e = field.element(tau)
@@ -292,7 +291,7 @@ def test_power_lemma_nontrivial_f(alg5):
 def test_matrix_oracle():
     rels = gamma3_matrix_relations()
     assert len(rels) == 4 and all(rels.values())
-    assert gamma3_matrix_oracle()
+    assert all(gamma3_matrix_relations().values())
 
 
 def test_matrix_oracle_negative_control():
@@ -302,7 +301,7 @@ def test_matrix_oracle_negative_control():
     rows[0][2] = rows[0][2] * field.element(-1)  # flip one entry's sign
     broken = dict(mats)
     broken["y"] = Mat3(field, rows)
-    assert not gamma3_matrix_oracle(broken)
+    assert not all(gamma3_matrix_relations(broken).values())
 
 
 def test_matrix_identity_commutes():
@@ -322,7 +321,7 @@ def test_adjugate_is_projective_inverse():
 
 
 def test_quat_json():
-    field = make_field(3)
+    field = Field(3)
     alg = QuatAlgebra(QuadExt(field, field.element(-1)))
     x = alg.generator_quat(alg.ext.element(1, 1))
     data = x.to_json()

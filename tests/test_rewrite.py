@@ -1,5 +1,4 @@
 import itertools
-import pickle
 import random
 import re
 
@@ -22,7 +21,6 @@ from quatlat.rewrite import (
     orbit_size,
     parse_word,
     pi_action,
-    words_equal,
 )
 
 
@@ -122,7 +120,7 @@ def test_ab_ba_agree_as_group_elements(g3):
         w = rand_word(rng, g3, rng.randint(0, 14))
         ab = normal_form(g3, w, "AB")
         ba = normal_form(g3, w, "BA")
-        assert words_equal(g3, ab.a_part + ab.b_part, ba.b_part + ba.a_part)
+        assert is_identity(g3, ab.a_part + ab.b_part + g3.invert_word(ba.b_part + ba.a_part))
 
 
 def test_append_letter_matches_normal_form(g3):
@@ -318,19 +316,3 @@ def test_power_diagonal_words(g3, n):
     a, x, b = (g3.label(t) for t in "axb")
     word = (a,) * n + (x,) * n + (g3.inverse[b],) * n + (x,) * n
     assert is_identity(g3, word) == PowerDiagonal(9, 4).contains((n,) * 4)
-
-
-def test_pickled_presentation_keeps_codes(table_zoo):
-    rng = random.Random(48)
-    for pres in table_zoo:
-        clone = pickle.loads(pickle.dumps(pres))
-        letters = pres.alphabet_a + pres.alphabet_b
-        cloned = clone.alphabet_a + clone.alphabet_b
-        assert [l.code for l in cloned] == [l.code for l in letters]
-        for _ in range(20):
-            w = rand_word(rng, pres, rng.randint(0, 20))
-            word_copy = pickle.loads(pickle.dumps(w))  # pickled apart from the table
-            for order in ("AB", "BA"):
-                nf = normal_form(pres, w, order)
-                assert normal_form(clone, tuple(cloned[l.code] for l in w), order) == nf
-                assert normal_form(pres, word_copy, order) == nf
