@@ -1,15 +1,40 @@
 """Parikh images of the word problem cut down to bounded languages
-w1* w2* ... wd*, with an exact meet-in-the-middle enumeration and the
-symbolic set machinery to compare against.
+w1* w2* ... wd*, with three exact enumerations and the symbolic set
+machinery to compare against.
 
-w1^e1 ... wd^ed is the identity exactly when the prefix w1^e1 ... wh^eh
-equals the inverted suffix wd^-ed ... w(h+1)^-e(h+1).  The search splits
-the blocks at h = ceil(d/2), walks every inverted suffix once and tables
-its AB normal form against its exponents, then walks every prefix and
-looks its form up; each hit is a point.  Both walks build their forms
-letter by letter with `append_letter`, so the work is O(N^ceil(d/2))
-forms instead of O(N^d), and the table holds O(N^floor(d/2)).  For d = 1
-the suffix is empty and the table holds only the empty form.
+`enumerate_parikh` takes one of three paths:
+
+- the grid, for four one-letter blocks on alternating sides: O(N^2)
+  swap-table cells per sign pattern, with no normal form built;
+- the meet in the middle, for every other shape: O(N^ceil(d/2)) normal
+  forms built with `append_letter`, and a table of O(N^floor(d/2));
+- the brute force (prune=False): all O(N^d) products, the oracle the
+  other two are checked against.
+
+The grid.  Take a^i b^j c^k d^l with a, c in A and b, d in B.  The
+lattice acts simply transitively on the vertices of a product of two
+trees, so the A- and B-lengths of a normal form are invariants, and
+a^i b^j = d^-l c^-k forces i = k and j = l.  The AB form of
+(d^-1)^l (c^-1)^t comes from pushing c^-1 t times through (d^-1)^l.
+Count the columns of the B-word from its right end: a push through
+column l reads only columns 1..l, so the tiling for (t, l) is the corner
+of the tiling of (d^-1)^N by N pushes.  One sweep of that tiling, read
+from `pres._rows` as `append_letter` reads it, finds every point:
+(t, l, t, l) is one when column l has emitted the letter a in each of
+the t pushes and the first l cells of row t are all b.  The axes t = 0
+and l = 0 are the cases d^-1 = b and c^-1 = a.  Columns that have
+emitted anything but a are dropped, so the sweep stops when none is
+left.  A B,A,B,A spec is rotated by one block, which conjugates its
+word and so keeps whether it is the identity; a signed spec is the union
+of 16 unsigned sweeps on inverted letters.
+
+The meet in the middle.  w1^e1 ... wd^ed is the identity exactly when
+the prefix w1^e1 ... wh^eh equals the inverted suffix
+wd^-ed ... w(h+1)^-e(h+1).  The search splits the blocks at
+h = ceil(d/2), walks every inverted suffix once and tables its AB normal
+form against its exponents, then walks every prefix and looks its form
+up; each hit is a point.  For d = 1 the suffix is empty and the table
+holds only the empty form.
 
 The walks carry the parts as tuples of letter codes, as `append_letter`
 returns them, and the table is one dict keyed by a `str` with one
@@ -18,9 +43,9 @@ a key fixes the split, and it hashes in C.  A str stores one byte a
 character while the alphabet has at most 256 letters and two up to
 65536, so the keys stay compact and exact for any alphabet.  A key
 holds the list of the suffix exponents that reach its form; it has more
-than one when a block freely reduces to the identity.  With prune=False
-one walk over all d blocks, keeping the products that reduce to the
-identity, is the brute-force oracle the search is checked against.
+than one when a block freely reduces to the identity.  The brute force
+is one such walk over all d blocks, keeping the products that reduce to
+the identity.
 
 `enumerate_parikh(jobs=...)` is a leftover: it must be at least 1 and
 changes nothing, since every value runs the search in this process (a
@@ -37,6 +62,7 @@ equation rather than an identity word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .lattice import Presentation
 from .rewrite import append_letter, is_identity
@@ -134,6 +160,54 @@ def _meet(pres, spec, bound):
     return out
 
 
+def _on_grid(spec):
+    """Four one-letter blocks whose sides alternate."""
+    sides = "".join(g.side for w in spec.words for g in w)
+    return len(spec.words) == 4 and sides in ("ABAB", "BABA")
+
+
+def _sweep(pres, a, b, c, d, bound):
+    """The exponents (t, l, t, l) of a^t b^l c^t d^l = e, for codes a, c
+    of A-letters and b, d of B-letters: push c^-1 t times through
+    (d^-1)^bound, whose column l is its l-th letter from the right."""
+    inv, rows = pres._inv_code, pres._rows
+    points = {(0, 0, 0, 0)}
+    if inv[d] == b:
+        points.update((0, l, 0, l) for l in range(1, bound + 1))
+    if inv[c] == a:
+        points.update((t, 0, t, 0) for t in range(1, bound + 1))
+    row_a, start = rows[a], rows[inv[c]]
+    word = [inv[d]] * bound  # right end first
+    alive = list(range(1, bound + 1))  # columns that have emitted only a
+    for t in range(1, bound + 1):
+        if not alive:
+            break
+        row, word, hit = start, word[: alive[-1]], []
+        for l, x in enumerate(word):
+            row, word[l] = row[x]
+            hit.append(row is row_a)
+        alive = [l for l in alive if hit[l - 1]]
+        bs = next((l for l, x in enumerate(word) if x != b), len(word))
+        points.update((t, l, t, l) for l in alive if l <= bs)
+    return points
+
+
+def _grid(pres, spec, bound):
+    """The points of a spec `_on_grid`.  A B,A,B,A spec is rotated by one
+    block, which conjugates its word; a signed one is the union of 16
+    unsigned sweeps on inverted letters."""
+    shift = int(spec.words[0][0].side == "B")
+    codes = [w[0].code for w in spec.words[shift:] + spec.words[:shift]]
+    inv = pres._inv_code
+    points = set()
+    for signs in product((1, -1) if spec.signed else (1,), repeat=4):
+        sweep = _sweep(pres, *[g if s > 0 else inv[g] for g, s in zip(codes, signs)], bound)
+        for p in sweep:
+            exps = [s * e for s, e in zip(signs, p)]
+            points.add(tuple(exps[4 - shift :] + exps[: 4 - shift]))
+    return [spec.point_from_exponents(p) for p in points]
+
+
 def enumerate_parikh(
     pres: Presentation,
     spec: BoundedLanguageSpec,
@@ -142,8 +216,10 @@ def enumerate_parikh(
     jobs: int = 1,
 ) -> tuple:
     """All exponent tuples within the bound whose block product is the
-    identity, sorted lexicographically.  prune=False is the brute force;
-    jobs is checked (>= 1) and otherwise ignored."""
+    identity, sorted lexicographically.  prune=True takes the grid when
+    the spec has its shape and the meet in the middle otherwise;
+    prune=False is the brute force.  jobs is checked (>= 1) and
+    otherwise ignored."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if jobs < 1:
@@ -154,6 +230,8 @@ def enumerate_parikh(
             for u, v, exps in _products(pres, _directions(pres, spec), bound)
             if not u and not v
         ]
+    elif _on_grid(spec):
+        points = _grid(pres, spec, bound)
     else:
         points = _meet(pres, spec, bound)
     return tuple(sorted(points))

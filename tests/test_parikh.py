@@ -193,8 +193,124 @@ def test_search_and_normal_form_use_the_module_bindings(monkeypatch, g3):
     word = parse_word(g3, "a,x,b^-1,x")
     quatlat.rewrite.normal_form(g3, word)
     assert calls == {"parikh": 0, "rewrite": len(word)}
+    # four one-letter blocks on alternating sides take the grid, which
+    # reads the swap rows directly; the other two searches append
     enumerate_parikh(g3, spec_of(g3, "a;x;b^-1;x"), 6)
-    assert calls["parikh"] > 0
+    assert calls["parikh"] == 0
+    enumerate_parikh(g3, spec_of(g3, "a;x;b^-1;x;a"), 3)
+    meet_calls = calls["parikh"]
+    assert meet_calls > 0
+    enumerate_parikh(g3, spec_of(g3, "a;x;b^-1;x"), 3, prune=False)
+    assert calls["parikh"] > meet_calls
+
+
+def _grid_meet_brute(pres, spec, n, brute_n):
+    """The grid's points at n, checked against the meet in the middle at
+    n and the brute force at brute_n."""
+    from quatlat.parikh import _grid, _meet, _on_grid
+
+    assert _on_grid(spec)
+    grid = tuple(sorted(_grid(pres, spec, n)))
+    assert grid == tuple(sorted(_meet(pres, spec, n)))
+    small = tuple(sorted(_grid(pres, spec, brute_n)))
+    assert small == enumerate_parikh(pres, spec, brute_n, prune=False)
+    return grid
+
+
+def test_grid_matches_meet_and_bruteforce_on_examples():
+    q5 = get_presentation("q5")
+    cases = [(q5, first_commuting_language(q5)[0], 10)]
+    for ex in EXAMPLES.values():
+        pres = get_presentation(ex.lattice)
+        cases.append((pres, ex.spec(pres), ex.bound))
+    for pres, spec, bound in cases:
+        _grid_meet_brute(pres, spec, bound, 6)
+
+
+@pytest.mark.parametrize("lattice", ["gamma3", "gamma4", "gamma32", "q3", "q5"])
+def test_grid_matches_meet_and_bruteforce_on_random_specs(lattice):
+    """A,B,A,B and B,A,B,A specs, signed and unsigned, remapped or not,
+    at N from 0 to 13 (the brute force at N <= 3)."""
+    pres = get_presentation(lattice)
+    rng = random.Random(f"grid/{lattice}")
+    for _ in range(24):
+        sides = rng.choice([("A", "B"), ("B", "A")]) * 2
+        words = tuple(
+            (rng.choice(pres.alphabet_a if side == "A" else pres.alphabet_b),) for side in sides
+        )
+        signed = rng.random() < 0.5
+        remap = None
+        if rng.random() < 0.5:
+            slots = rng.sample(range(4), 4)
+            remap = tuple((slot, rng.choice((1, -1)) if signed else 1) for slot in slots)
+        spec = BoundedLanguageSpec(words, signed=signed, remap=remap)
+        n = rng.randint(0, 13)
+        _grid_meet_brute(pres, spec, n, min(n, 3))
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize(
+    "words,axes",
+    [
+        ("a;x;a^-1;x^-1", "both"),  # a commuting square: c^-1 = a and d^-1 = b
+        ("a;x;b;x^-1", "j"),  # d^-1 = b only
+        ("a;x;a^-1;y", "i"),  # c^-1 = a only
+        ("x;a;x^-1;a^-1", "both"),
+        ("x;a;y;a^-1", "j"),
+    ],
+)
+def test_grid_axis_points(g3, words, axes, signed):
+    """Where c^-1 = a or d^-1 = b the whole axis (t, 0, t, 0) or
+    (0, l, 0, l) is in the image."""
+    points = _grid_meet_brute(g3, spec_of(g3, words, signed=signed), 9, 4)
+    j_axis = {(0, l, 0, l) for l in range(10)}
+    i_axis = {(t, 0, t, 0) for t in range(10)}
+    assert (j_axis <= set(points)) == (axes in ("both", "j"))
+    assert (i_axis <= set(points)) == (axes in ("both", "i"))
+
+
+def test_grid_routing(monkeypatch, g3):
+    """Four one-letter blocks on alternating sides never reach the meet
+    in the middle, and every other shape never reaches the grid."""
+    import quatlat.parikh
+
+    def refuse(*args):
+        raise AssertionError("wrong search path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quatlat.parikh, "_meet", refuse)
+        for words in ("a;x;b^-1;x", "x;a;y;b"):
+            for signed in (False, True):
+                enumerate_parikh(g3, spec_of(g3, words, signed=signed), 5)
+    monkeypatch.setattr(quatlat.parikh, "_grid", refuse)
+    for words in ("a;x;b^-1", "a;x;b^-1;x;a", "a;x;b^-1;x,x", "a,x;b;a;x", "a;b;x;y", "a;x;y;b"):
+        enumerate_parikh(g3, spec_of(g3, words), 3)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_power_diagonal_theorem_at_e2(p):
+    """On F_{p^2} the step is p^k_tau with k_tau = 4: the first tau with
+    k_tau = 4 and its first non-commuting square a*b = b2*a2 give exactly
+    the power diagonal of p^4 up to N = p^4 + 1."""
+    from quatlat.ff import Field, QuadExt, find_nonsquare
+    from quatlat.lattice import LatticeParams, build_square_table, compute_k_tau
+    from quatlat.parikh import _meet
+
+    field = Field(p, 2)
+    ext = QuadExt(field, find_nonsquare(field))
+    params = next(
+        params
+        for params in (LatticeParams(ext, field.from_index(k)) for k in range(2, field.q))
+        if compute_k_tau(params) == 4
+    )
+    pres = build_square_table(params)
+    sq = next(s for s in pres.squares if not s.commuting)
+    spec = BoundedLanguageSpec(((sq.a,), (sq.b,), (pres.inverse[sq.a2],), (pres.inverse[sq.b2],)))
+    n = p**4 + 1
+    points = enumerate_parikh(pres, spec, n)
+    assert frozenset(points) == PowerDiagonal(p**pres.k_tau).enumerate_box(n)
+    if p == 3:
+        assert points == tuple(sorted(_meet(pres, spec, n)))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
