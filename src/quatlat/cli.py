@@ -46,23 +46,37 @@ def _load_lattice(arg: str) -> Presentation:
     )
 
 
+def _key_values(text: str, usage: str, keys: tuple, defaults: dict) -> dict:
+    """The pairs of a "key=value,..." list as a dict of strings.  Each of
+    `keys` must be given once, unless `defaults` has it, and no other key
+    may appear; any fault raises ValueError with `usage`, which names the
+    flag."""
+    pairs = [part.split("=") for part in text.split(",")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(usage)
+    given = [key for key, _ in pairs]
+    for fault, names in (
+        ("repeated", sorted({key for key in given if given.count(key) > 1})),
+        ("unknown", sorted(set(given) - set(keys))),
+        ("missing", [key for key in keys if key not in given and key not in defaults]),
+    ):
+        if names:
+            raise ValueError(f"{usage}; {fault} key {', '.join(names)}")
+    return {**defaults, **dict(pairs)}
+
+
 def _lattice_params(arg: str) -> LatticeParams:
     # format: "p=5,e=1,c=2,tau=3", e optional; for e > 1, c and tau are
     # little-endian coefficient vectors with ':' between coefficients,
     # as in "p=3,e=2,c=1:1,tau=0:1"
     usage = (f"--lattice {arg!r} is not a parameter list of the form p=..,e=..,c=..,tau=.. "
              "(e optional; c and tau may be coefficient vectors like 1:1)")
+    kv = _key_values(arg, usage, ("p", "e", "c", "tau"), {"e": "1"})
     try:
-        pairs = [part.split("=") for part in arg.split(",")]
-        kv = dict(pairs)
-        if len(kv) != len(pairs):
-            raise ValueError("repeated key")
-        p, e = int(kv.pop("p")), int(kv.pop("e", 1))
-        c, tau = ([int(x) for x in kv.pop(key).split(":")] for key in ("c", "tau"))
-    except (ValueError, KeyError):
+        p, e = int(kv["p"]), int(kv["e"])
+        c, tau = ([int(x) for x in kv[key].split(":")] for key in ("c", "tau"))
+    except ValueError:
         raise ValueError(usage) from None
-    if kv:
-        raise ValueError(f"{usage}; unknown key {', '.join(sorted(kv))}")
     try:
         return LatticeParams.make(p, e, c, tau)
     except ValueError as exc:
@@ -95,11 +109,14 @@ def _parse_remap(arg: str | None):
 def _spec_from_args(pres, args) -> parikh.BoundedLanguageSpec:
     try:
         words = tuple(rewrite.parse_word(pres, w) for w in args.words.split(";"))
+        parikh.BoundedLanguageSpec(words)
     except ValueError as exc:
         raise ValueError(f"--words {args.words!r}: {exc}") from None
-    return parikh.BoundedLanguageSpec(
-        words, signed=args.signed, remap=_parse_remap(args.remap)
-    )
+    remap = _parse_remap(args.remap)
+    try:
+        return parikh.BoundedLanguageSpec(words, signed=args.signed, remap=remap)
+    except ValueError as exc:
+        raise ValueError(f"--remap {args.remap!r}: {exc}") from None
 
 
 def cmd_construct(args) -> int:
@@ -199,14 +216,15 @@ def cmd_parikh(args) -> int:
 def _power_diagonal(flag: str, descriptor: str) -> parikh.PowerDiagonal:
     # format: "power-diagonal:m=9,d=4", d optional
     usage = f"{flag} {descriptor!r} is not of the form power-diagonal:m=..,d=.."
+    kv = _key_values(descriptor.split(":", 1)[1], usage, ("m", "d"), {"d": "4"})
     try:
-        kv = dict(part.split("=") for part in descriptor.split(":", 1)[1].split(","))
-        m, d = int(kv.pop("m")), int(kv.pop("d", 4))
-    except (ValueError, KeyError):
+        m, d = int(kv["m"]), int(kv["d"])
+    except ValueError:
         raise ValueError(usage) from None
-    if kv:
-        raise ValueError(usage)
-    return parikh.PowerDiagonal(m, d)
+    try:
+        return parikh.PowerDiagonal(m, d)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {descriptor!r}: {exc}") from None
 
 
 def _read_set(flag: str, descriptor: str, args, pres=None, spec=None):

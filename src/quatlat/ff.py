@@ -3,19 +3,19 @@ extension F_q[Z] with Z^2 = c for a chosen non-square c.
 
 A field element is its index 0..q-1: the integer whose base-p digits
 are the element's little-endian coefficient vector in the power basis of
-a fixed monic irreducible modulus, so 0 and 1 are the field's zero and
-one and an int n embeds as n mod p.  The modulus is the
+the modulus, so 0 and 1 are the field's zero and one and an int n
+embeds as n mod p.  The modulus is not a choice: it is the
 lexicographically smallest monic irreducible polynomial of degree e
-(highest coefficient compared first, i.e. ascending order of the integer
-whose base-p digits are the lower coefficients), so a field is pinned
-down by (p, e) alone and serializes reproducibly.  For e = 1 the modulus
-is x and elements are plain residues.
+(ascending order of the integer whose base-p digits are the lower
+coefficients), and x for e = 1.  So there is one field per (p, e):
+`Field(p, e)` returns the same instance on every call, as
+`QuadExt(field, c)` does per (field, c).
 
-Each field builds, once, flat q x q tables `add` and `mul` (entry
-a*q + b) and q-entry tables `neg` and `inv` from the coefficient-vector
-arithmetic, and every operation afterwards is a lookup; the vectors
-survive only to build the tables and to print and serialize elements.
-FieldElem wraps (field, index) for the public API.
+Each field builds flat q x q tables `add` and `mul` (entry a*q + b) and
+q-entry tables `neg` and `inv`; every operation is a lookup.  `mul` is
+filled by Horner on indices: for a = a0 + p*a' with a0 constant, row a
+is a0*b + x*(a'*b), read from rows a0 and a' through `add` and the map
+v -> x*v.  FieldElem wraps (field, index) for the public API.
 
 Extension elements u + vZ are pairs of F_q elements.  The norm down to
 F_q is N(u + vZ) = u^2 - c*v^2, which agrees with x * conj(x) and with
@@ -25,7 +25,7 @@ x^(q+1).  Every value is immutable and hashable.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 class FieldError(ValueError):
@@ -60,66 +60,66 @@ def _digits(k: int, p: int, n: int) -> tuple:
     return tuple((k // p**i) % p for i in range(n))
 
 
-def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    # trial division by all monic polynomials of degree 1 .. deg/2
+def _smallest_irreducible(p: int, e: int) -> tuple:
+    """The first monic polynomial of degree e, in the order of the
+    integer its lower coefficients spell in base p, with no monic factor
+    of degree 1 .. e/2 (trial division); x for e = 1."""
+    if e == 1:
+        return (0, 1)
     from .quat import Poly
 
     field = Field(p)
-    num = Poly(field, poly)
-    for d in range(1, num.degree // 2 + 1):
-        for m in range(p**d):
-            if not num % Poly(field, _digits(m, p, d) + (1,)):
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, e: int):
-    if e == 1:
-        return (0, 1)
     for m in range(p**e):
         poly = _digits(m, p, e) + (1,)
-        if _is_irreducible(poly, p):
+        num = Poly(field, poly)
+        if all(num % Poly(field, _digits(k, p, d) + (1,)) for d in range(1, e // 2 + 1) for k in range(p**d)):
             return poly
-    raise FieldError(f"no irreducible polynomial of degree {e} over F_{p}")
 
 
 class Field:
-    """The field F_q with q = p^e, for an odd prime p.
+    """The field F_q with q = p^e, for an odd prime p; one instance per
+    (p, e).
 
     `vec[k]` is the coefficient vector of index k; `add[a*q + b]` and
     `mul[a*q + b]` are the indices of a + b and a*b, `neg[a]` of -a and
     `inv[a]` of 1/a (None at 0)."""
 
-    def __init__(self, p: int, e: int = 1, modulus: Sequence[int] | None = None):
+    _made: dict = {}
+
+    def __new__(cls, p: int, e: int = 1):
+        field = cls._made.get((p, e))
+        if field is not None:
+            return field
         if not _is_prime(p):
             raise FieldError(f"characteristic {p} is not prime")
         if p == 2:
             raise FieldError("characteristic 2 is not supported")
         if e < 1:
             raise FieldError(f"extension degree {e} must be >= 1")
-        self.p = p
-        self.e = e
-        self.q = p**e
-        if modulus is None:
-            modulus = _smallest_irreducible(p, e)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of degree e")
-            if e > 1 and not _is_irreducible(modulus, p):
-                raise FieldError("modulus is not irreducible")
-        self.modulus = tuple(modulus)
-        self.vec, self.add, self.mul, self.neg, self.inv = self._tables()
-        self.zero = FieldElem(self, 0)
-        self.one = FieldElem(self, 1)
+        field = super().__new__(cls)
+        field.p, field.e, field.q = p, e, p**e
+        field.modulus = _smallest_irreducible(p, e)
+        field.vec, field.add, field.mul, field.neg, field.inv = field._tables()
+        field.zero = FieldElem(field, 0)
+        field.one = FieldElem(field, 1)
+        return cls._made.setdefault((p, e), field)
 
     def _tables(self):
-        p, e, q = self.p, self.e, self.q
-        vec = tuple(_digits(k, p, e) for k in range(q))
+        p, q, m = self.p, self.q, self.modulus
+        vec = tuple(_digits(k, p, self.e) for k in range(q))
         index = {v: k for k, v in enumerate(vec)}
         add = tuple(index[tuple((x + y) % p for x, y in zip(a, b))] for a in vec for b in vec)
-        mul = tuple(index[self._mul_coeffs(a, b)] for a in vec for b in vec)
         neg = tuple(index[tuple((-c) % p for c in a)] for a in vec)
+        # x*v: shift up one degree, then replace x^e by -(m(x) - x^e)
+        times_x = tuple(index[tuple((s - v[-1] * c) % p for s, c in zip((0,) + v[:-1], m))] for v in vec)
+        rows = [(0,) * q]
+        for a in range(1, q):
+            if a < p:  # a constant: row a-1 plus b
+                row = tuple(add[r * q + b] for b, r in enumerate(rows[a - 1]))
+            else:  # a0*b + x*(a'*b)
+                row = tuple(add[lo * q + times_x[hi]] for lo, hi in zip(rows[a % p], rows[a // p]))
+            rows.append(row)
+        mul = tuple(k for row in rows for k in row)
         inv = [None] * q
         for k, v in enumerate(mul):
             if v == 1:
@@ -129,7 +129,7 @@ class Field:
     def element(self, value) -> "FieldElem":
         """Coerce an int (constant embedding) or a coefficient vector."""
         if isinstance(value, FieldElem):
-            if value.field != self:
+            if value.field is not self:
                 raise FieldError("element from a different field")
             return value
         if isinstance(value, int):
@@ -149,35 +149,16 @@ class Field:
         for k in range(self.q):
             yield FieldElem(self, k)
 
-    def _mul_coeffs(self, a, b):
-        """The coefficient vector of a*b: the product of the vectors as
-        polynomials in x, reduced mod the modulus from the top degree."""
-        p, e, m = self.p, self.e, self.modulus
-        conv = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                conv[i + j] += x * y
-        for k in range(2 * e - 2, e - 1, -1):  # x^k = -x^(k-e) * (m(x) - x^e)
-            for i in range(e):
-                conv[k - e + i] -= conv[k] * m[i]
-        return tuple(c % p for c in conv[:e])
-
     def to_json(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
     @classmethod
     def from_json(cls, data: dict) -> "Field":
-        return cls(data["p"], data["e"], data.get("modulus"))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Field):
-            return NotImplemented
-        return (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
+        """The field of (p, e); a "modulus", if given, must be its modulus."""
+        field = cls(data["p"], data["e"])
+        if "modulus" in data and list(data["modulus"]) != list(field.modulus):
+            raise FieldError(f"modulus {data['modulus']} is not {list(field.modulus)}, the modulus of {field!r}")
+        return field
 
     def __repr__(self):
         return f"Field({self.p}, {self.e})"
@@ -253,7 +234,7 @@ class FieldElem:
             return self == self.field.element(other)
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.idx == other.idx and self.field == other.field
+        return self.idx == other.idx and self.field is other.field
 
     def __hash__(self):
         return hash(self.idx)
@@ -292,21 +273,29 @@ def find_nonsquare(field: Field) -> FieldElem:
 
 
 class QuadExt:
-    """The quadratic extension F_q[Z] of a field, with Z^2 = c non-square."""
+    """The quadratic extension F_q[Z] of a field, with Z^2 = c non-square;
+    one instance per (field, c)."""
 
-    def __init__(self, field: Field, c):
+    _made: dict = {}
+
+    def __new__(cls, field: Field, c):
         c = field.element(c)
+        ext = cls._made.get((field, c.idx))
+        if ext is not None:
+            return ext
         if c.is_zero() or is_square(c):
             raise FieldError(f"c = {c!r} is not a non-square in F_{field.q}")
-        self.field = field
-        self.c = c
-        self.zero = QuadElem(self, field.zero, field.zero)
-        self.one = QuadElem(self, field.one, field.zero)
-        self.gen = QuadElem(self, field.zero, field.one)  # the element Z
+        ext = super().__new__(cls)
+        ext.field = field
+        ext.c = c
+        ext.zero = QuadElem(ext, field.zero, field.zero)
+        ext.one = QuadElem(ext, field.one, field.zero)
+        ext.gen = QuadElem(ext, field.zero, field.one)  # the element Z
+        return cls._made.setdefault((field, c.idx), ext)
 
     def element(self, u, v=0) -> "QuadElem":
         if isinstance(u, QuadElem):
-            if u.ext != self:
+            if u.ext is not self:
                 raise FieldError("element from a different extension")
             return u
         return QuadElem(self, self.field.element(u), self.field.element(v))
@@ -318,16 +307,6 @@ class QuadExt:
     def elements(self) -> Iterator["QuadElem"]:
         for k in range(self.field.q**2):
             yield self.from_index(k)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, QuadExt):
-            return NotImplemented
-        return self.field == other.field and self.c == other.c
-
-    def __hash__(self):
-        return hash((self.field, self.c))
 
     def __repr__(self):
         return f"QuadExt({self.field!r}, c={self.c!r})"
@@ -404,7 +383,7 @@ class QuadElem:
             return True
         if not isinstance(other, QuadElem):
             return NotImplemented
-        return self.u == other.u and self.v == other.v and self.ext == other.ext
+        return self.u == other.u and self.v == other.v and self.ext is other.ext
 
     def __hash__(self):
         return hash((self.u, self.v))

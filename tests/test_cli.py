@@ -509,3 +509,53 @@ def test_compare_refuses_points_of_another_arity(capsys, tmp_path):
     code, out = run(capsys, "compare", "--lattice", "q5", "--words", "A0;B0;A1;B1", "--bound", "2",
                     "--expected", str(path))
     assert code == 0 and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,needle",
+    [
+        (["growth", "--set", "power-diagonal:m=9,m=3", "--n", "100"], "--set", "repeated key m"),
+        (["compare", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "3",
+          "--expected", "power-diagonal:m=9,d=4,d=2"], "--expected", "repeated key d"),
+        (["growth", "--set", "power-diagonal:d=4", "--n", "100"], "--set", "missing key m"),
+        (["growth", "--set", "power-diagonal:m=1", "--n", "100"], "--set", "need m >= 2"),
+    ],
+    ids=["set-repeated", "expected-repeated", "set-missing", "set-m=1"],
+)
+def test_power_diagonal_keys_are_read_once(capsys, argv, flag, needle):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {flag} '{argv[argv.index(flag) + 1]}'"), captured.err
+    assert needle in captured.err, captured.err
+
+
+@pytest.mark.parametrize(
+    "extra,needle",
+    [
+        (["--words", "a;;x"], "error: --words 'a;;x': need at least one nonempty block word"),
+        (["--words", "a;x;b;x", "--remap", "0,+;0,+;1,+;2,+"],
+         "error: --remap '0,+;0,+;1,+;2,+': remap must be a signed permutation of the blocks"),
+    ],
+    ids=["words", "remap"],
+)
+def test_spec_errors_name_their_flag(capsys, extra, needle):
+    code = main(["parikh", "--lattice", "gamma3", "--bound", "3", *extra])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == needle + "\n", captured.err
+
+
+def test_lattice_file_with_another_modulus_names_the_flag(capsys, tmp_path):
+    """F_9 has one modulus, x^2 + 1; a file naming x^2 + x + 2 would read
+    its c and tau as other elements, so it is refused."""
+    path = tmp_path / "q9.json"
+    assert run(capsys, "construct", "--lattice", "p=3,e=2,c=1:1,tau=0:1", "--out", str(path)) == (0, "")
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert data["params"]["field"]["modulus"] == [1, 0, 1]
+    data["params"]["field"]["modulus"] = [2, 1, 1]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["verify", "--lattice", str(path), "--suite", "oracle"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: --lattice {str(path)!r}: modulus [2, 1, 1]"), captured.err

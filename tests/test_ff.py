@@ -41,7 +41,25 @@ def test_make_field_rejects_bad_parameters():
     with pytest.raises(FieldError):
         Field(3, 0)
     with pytest.raises(FieldError):
-        Field(3, 2, (1, 1, 1))  # x^2 + x + 1 = (x+2)^2 over F_3
+        Field.from_json({"p": 3, "e": 2, "modulus": [1, 1, 1]})  # x^2 + x + 1 = (x+2)^2 over F_3
+
+
+def test_one_field_per_parameters():
+    assert Field(3, 2) is Field(3, 2) and Field(5) is Field(5, 1)
+    field = Field(3, 2)
+    assert QuadExt(field, find_nonsquare(field)) is QuadExt(field, find_nonsquare(field).to_json())
+    assert QuadExt(Field(3), 2) is QuadExt(Field(3), -1)
+    assert Field.from_json(field.to_json()) is Field.from_json({"p": 3, "e": 2}) is field
+
+
+def test_refused_parameters_are_not_kept():
+    for _ in range(2):
+        with pytest.raises(FieldError):
+            Field(9)
+        with pytest.raises(FieldError):
+            QuadExt(Field(3), 1)
+        with pytest.raises(FieldError):
+            Field.from_json({"p": 3, "e": 2, "modulus": [2, 1, 1]})
 
 
 def test_f9_modulus_is_first_irreducible():
@@ -208,21 +226,33 @@ def _index(field, coeffs):
     return sum(c * field.p**i for i, c in enumerate(coeffs))
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4)])
 def test_tables_match_vector_arithmetic(p, e):
     """Every entry of add, mul, neg and inv, against digit-wise addition
-    and the coefficient-vector product."""
+    and the product of residues (e = 1) or of coefficient vectors as
+    polynomials over F_p reduced mod the modulus (e > 1)."""
+    from quatlat.quat import Poly
+
     field = Field(p, e)
     q = field.q
     vec = [tuple((k // p**i) % p for i in range(e)) for k in range(q)]
     assert field.vec == tuple(vec)
+    prime = Field(p)
+    polys = [Poly(prime, v) for v in vec]
+    modulus = Poly(prime, field.modulus)
+
+    def product(a, b):
+        if e == 1:
+            return (a * b) % p
+        return _index(field, (polys[a] * polys[b] % modulus).idx)
+
     for a in range(q):
         assert field.neg[a] == _index(field, [(-c) % p for c in vec[a]])
         for b in range(q):
             assert field.add[a * q + b] == _index(field, [(x + y) % p for x, y in zip(vec[a], vec[b])])
-            assert field.mul[a * q + b] == _index(field, field._mul_coeffs(vec[a], vec[b]))
+            assert field.mul[a * q + b] == product(a, b)
         if a:
-            assert field._mul_coeffs(vec[a], vec[field.inv[a]]) == vec[1]
+            assert product(a, field.inv[a]) == 1
     assert field.inv[0] is None
     x, y = field.from_index(q - 1), field.from_index(q // 2)
     assert (x + y).idx == field.add[x.idx * q + y.idx] and (x * y).idx == field.mul[x.idx * q + y.idx]
