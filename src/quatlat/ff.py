@@ -87,6 +87,9 @@ class Field:
     _made: dict = {}
 
     def __new__(cls, p: int, e: int = 1):
+        # before the lookup: 3.0 and True hash like 3 and 1
+        if type(p) is not int or type(e) is not int:
+            raise FieldError(f"field parameters p={p!r}, e={e!r} must be ints")
         field = cls._made.get((p, e))
         if field is not None:
             return field

@@ -400,7 +400,10 @@ def compute_k_tau(params: LatticeParams) -> int:
 
 def oracle_check_table(pres: Presentation) -> dict:
     """Check every swap entry as a projective identity in the quaternion
-    algebra with f(t) = t; returns {'ok': bool, 'failures': [...], ...}."""
+    algebra with f(t) = t; returns {'ok': bool, 'failures': [...], ...}.
+
+    Each entry a*b = b'*a' holds when the two products are equal mod K*,
+    which `Quat.same_class` decides by 2x2 minors, without normalizing."""
     if pres.kind != "parametric":
         raise ParameterMismatchError("oracle check needs a parametric lattice")
     algebra = QuatAlgebra(pres.params.ext)
@@ -409,14 +412,12 @@ def oracle_check_table(pres: Presentation) -> dict:
 
     def emb(label):
         if label not in cache:
-            cache[label] = algebra.generator_quat(label.index, t).projective()
+            cache[label] = algebra.generator_quat(label.index, t)
         return cache[label]
 
     failures = []
     for (la, lb), (lb2, la2) in pres.swap.items():
-        lhs = emb(la) * emb(lb)
-        rhs = emb(lb2) * emb(la2)
-        if lhs != rhs:
+        if not (emb(la) * emb(lb)).same_class(emb(lb2) * emb(la2)):
             failures.append((la.token(), lb.token()))
     return {
         "ok": not failures,

@@ -6,14 +6,22 @@
 Polynomials are little-endian tuples of field-element indices with no
 trailing zeros (the zero polynomial is the empty tuple); their
 arithmetic is lookups in the field's add/mul/neg/inv tables, and
-`coeffs` and `lead()` wrap indices as FieldElems for callers.  Quaternion
-coordinates are polynomials: every generator c*f + xi*F*Z has polynomial
-coordinates once a rational f is cleared of its denominator, and the
-oracle compares products only mod K* = F_q(t)*.  A projective class is
-content-normalized: the four coordinates are divided by their gcd and
-scaled so the first nonzero one is monic; equality is then structural.
-Rational functions (monic denominator coprime to the numerator) only
-parametrize generators, as in the power lemma's g = f^m / (t(t-1))^k.
+`coeffs` and `lead()` wrap indices as FieldElems for callers.  One
+kernel, `_dot`, sums scaled products of index tuples: the sum or the
+product of two Polys, and each coordinate of a Quat product, is one
+call to it, and only the results are wrapped as Polys.
+
+Quaternion coordinates are polynomials: every generator c*f + xi*F*Z
+has polynomial coordinates once a rational f is cleared of its
+denominator, and the oracle compares products only mod K* = F_q(t)*.
+It does so by 2x2 minors, with no gcd: `Quat.same_class` asks for the
+same zero pattern and x_j*y_i = y_j*x_i for every j, with i the first
+nonzero coordinate.  A projective class, as `generator()` and the power
+lemma build it, is content-normalized: the four coordinates are divided
+by their gcd and scaled so the first nonzero one is monic; equality is
+then structural.  Rational functions (monic denominator coprime to the
+numerator) only parametrize generators, as in the power lemma's
+g = f^m / (t(t-1))^k.
 
 The module also carries the fixed 3x3 matrix quadruple over F_3(t)
 whose projective relations match the rank-(2,2) lattice presentation at
@@ -89,15 +97,8 @@ class Poly:
         return self * self.lead().inverse()
 
     def __add__(self, other):
-        other = _as_poly(self.field, other)
-        a, b = self.idx, other.idx
-        if len(a) < len(b):
-            a, b = b, a
-        add, q = self.field.add, self.field.q
-        out = list(a)
-        for i, k in enumerate(b):
-            out[i] = add[out[i] * q + k]
-        return Poly._of(self.field, out)
+        ys = _as_poly(self.field, other).idx
+        return Poly._of(self.field, _dot(self.field, ((1, self.idx, (1,)), (1, ys, (1,)))))
 
     def __sub__(self, other):
         return self + (-_as_poly(self.field, other))
@@ -112,14 +113,7 @@ class Poly:
         if isinstance(other, FieldElem):
             row = field.element(other).idx * q
             return Poly._of(field, [mul[row + k] for k in self.idx])
-        add, ys = field.add, _as_poly(field, other).idx
-        out = [0] * (len(self.idx) + len(ys) - 1)  # trimmed to () if a factor is 0
-        for i, x in enumerate(self.idx):
-            if x:
-                row = x * q
-                for j, y in enumerate(ys, i):
-                    out[j] = add[out[j] * q + mul[row + y]]
-        return Poly._of(field, out)
+        return Poly._of(field, _dot(field, ((1, self.idx, _as_poly(field, other).idx),)))
 
     def __rmul__(self, other):
         return self * other
@@ -182,6 +176,32 @@ class Poly:
                 ts = "t" if i == 1 else f"t^{i}"
                 terms.append(ts if c == self.field.one else f"{c!r}*{ts}")
         return " + ".join(terms)
+
+
+def _dot(field: Field, terms) -> list:
+    """sum k*xs*ys over the (k, xs, ys) of `terms`: k a field index, xs
+    and ys little-endian index sequences.  The product kernel of Poly and
+    Quat; the result is untrimmed."""
+    add, mul, q = field.add, field.mul, field.q
+    out = [0] * max(len(xs) + len(ys) - 1 for _, xs, ys in terms)
+    for k, xs, ys in terms:
+        for i, x in enumerate(xs):
+            if x:
+                row = mul[k * q + x] * q
+                for j, y in enumerate(ys, i):
+                    out[j] = add[out[j] * q + mul[row + y]]
+    return out
+
+
+def _proportional(xs, ys) -> bool:
+    """True iff the Poly sequences xs and ys are nonzero and proportional
+    over F_q(t)*: the same zero pattern, and every minor x_j*y_i - y_j*x_i
+    is zero, with i the first nonzero entry."""
+    if [not x for x in xs] != [not y for y in ys] or not any(xs):
+        return False
+    f = xs[0].field
+    xi, yi = next((x.idx, y.idx) for x, y in zip(xs, ys) if x)
+    return not any(any(_dot(f, ((1, x.idx, yi), (f.neg[1], y.idx, xi)))) for x, y in zip(xs, ys))
 
 
 def _as_poly(field: Field, value) -> Poly:
@@ -352,15 +372,19 @@ class Quat:
     def __mul__(self, other):
         if isinstance(other, (Poly, FieldElem, int)):
             return Quat(self.algebra, tuple(a * other for a in self.coords))
-        x0, x1, x2, x3 = self.coords
-        y0, y1, y2, y3 = other.coords
-        c = self.algebra.c
-        s = self.algebra.s
-        r0 = x0 * y0 + (x1 * y1) * c + (x2 * y2) * s - (x3 * y3) * c * s
-        r1 = x0 * y1 + x1 * y0 - (x2 * y3) * s + (x3 * y2) * s
-        r2 = x0 * y2 + (x1 * y3) * c + x2 * y0 - (x3 * y1) * c
-        r3 = x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0
-        return Quat(self.algebra, (r0, r1, r2, r3))
+        algebra = self.algebra
+        f = algebra.field
+        x0, x1, x2, x3 = (pl.idx for pl in self.coords)
+        y0, y1, y2, y3 = (pl.idx for pl in other.coords)
+        c, m1 = algebra.c.idx, f.neg[1]
+        mc = f.neg[c]
+        s = algebra.s.idx
+        sx2, sx3 = _dot(f, ((1, s, x2),)), _dot(f, ((1, s, x3),))
+        r0 = _dot(f, ((1, x0, y0), (c, x1, y1), (1, sx2, y2), (mc, sx3, y3)))
+        r1 = _dot(f, ((1, x0, y1), (1, x1, y0), (m1, sx2, y3), (1, sx3, y2)))
+        r2 = _dot(f, ((1, x0, y2), (c, x1, y3), (1, x2, y0), (mc, x3, y1)))
+        r3 = _dot(f, ((1, x0, y3), (1, x1, y2), (m1, x2, y1), (1, x3, y0)))
+        return Quat(algebra, tuple(Poly._of(f, r) for r in (r0, r1, r2, r3)))
 
     def __rmul__(self, other):
         if isinstance(other, (Poly, FieldElem, int)):
@@ -381,6 +405,11 @@ class Quat:
 
     def projective(self) -> "ProjQuat":
         return ProjQuat(self)
+
+    def same_class(self, other: "Quat") -> bool:
+        """True iff both are nonzero and equal mod K*; unlike comparing
+        `projective()`, this takes no gcd."""
+        return self.algebra == other.algebra and _proportional(self.coords, other.coords)
 
     def __eq__(self, other):
         if self is other:
@@ -523,24 +552,8 @@ class Mat3:
         return Mat3(self.field, [[cof(j, i) for j in range(3)] for i in range(3)])
 
     def proj_eq(self, other: "Mat3") -> bool:
-        """True iff the matrices are proportional over K*."""
-        ref = None
-        for i in range(3):
-            for j in range(3):
-                if self.rows[i][j] or other.rows[i][j]:
-                    if not (self.rows[i][j] and other.rows[i][j]):
-                        return False
-                    if ref is None:
-                        ref = (i, j)
-        if ref is None:
-            return True
-        ri, rj = ref
-        a0, b0 = self.rows[ri][rj], other.rows[ri][rj]
-        for i in range(3):
-            for j in range(3):
-                if self.rows[i][j] * b0 != other.rows[i][j] * a0:
-                    return False
-        return True
+        """True iff the matrices are nonzero and proportional over K*."""
+        return _proportional(sum(self.rows, ()), sum(other.rows, ()))
 
     def __repr__(self):
         return "Mat3(" + ", ".join(repr(list(r)) for r in self.rows) + ")"

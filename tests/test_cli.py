@@ -559,3 +559,19 @@ def test_lattice_file_with_another_modulus_names_the_flag(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: --lattice {str(path)!r}: modulus [2, 1, 1]"), captured.err
+
+
+@pytest.mark.parametrize("key,value", [("e", True), ("p", 3.0)], ids=["e-true", "p-float"])
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_lattice_file_with_non_int_field_parameters_names_the_flag(capsys, tmp_path, command, key, value):
+    """JSON true and 3.0 hash like 1 and 3; once F_3 exists they used to be
+    read as F_3, and construct wrote "e": true back out."""
+    path = tmp_path / "q3.json"
+    assert run(capsys, "construct", "--lattice", "q3", "--out", str(path)) == (0, "")
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["params"]["field"][key] = value
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main([command, "--lattice", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: --lattice {str(path)!r}: field parameters"), captured.err

@@ -62,6 +62,24 @@ def test_refused_parameters_are_not_kept():
             Field.from_json({"p": 3, "e": 2, "modulus": [2, 1, 1]})
 
 
+@pytest.mark.parametrize("fresh", [True, False], ids=["before-field-3", "after-field-3"])
+def test_non_int_parameters_are_refused(monkeypatch, fresh):
+    """3.0 and True hash like 3 and 1, so they must be refused before the
+    shared instance is looked up: whether or not Field(3) exists yet, and
+    without leaving a shared F_3 whose e is True."""
+    if fresh:
+        monkeypatch.setattr(Field, "_made", {})
+    else:
+        Field(3)
+    for p, e in ((3.0, 1), (3, True), (True, 1), (3, 1.0), ("3", 1)):
+        with pytest.raises(FieldError, match="must be ints"):
+            Field(p, e)
+        with pytest.raises(FieldError, match="must be ints"):
+            Field.from_json({"p": p, "e": e})
+    assert type(Field(3).e) is int
+    assert Field(3).to_json() == {"p": 3, "e": 1, "modulus": [0, 1]}
+
+
 def test_f9_modulus_is_first_irreducible():
     field = Field(3, 2)
     # enumeration order: ascending constant-then-linear digits

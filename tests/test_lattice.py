@@ -193,6 +193,23 @@ def test_oracle_catches_corruption(pres3):
     assert not rep["ok"] and rep["failures"]
 
 
+@pytest.mark.parametrize("p,e", [(7, 1), (3, 2)], ids=["q=7", "q=9"])
+def test_oracle_names_a_single_wrong_entry(p, e):
+    """One swap value pointed at another valid letter pair: the oracle
+    names exactly that key, and still checks every entry."""
+    field = Field(p, e)
+    ext = QuadExt(field, find_nonsquare(field))
+    pres = build_square_table(LatticeParams(ext, field.from_index(2)))
+    broken = object.__new__(Presentation)
+    broken.__dict__.update(pres.__dict__)
+    broken.swap = dict(pres.swap)
+    keys = list(pres.swap)
+    key = keys[len(keys) // 2]
+    broken.swap[key] = next(v for v in pres.swap.values() if v != pres.swap[key])
+    rep = oracle_check_table(broken)
+    assert rep == {"ok": False, "checked": (p**e + 1) ** 2, "failures": [(key[0].token(), key[1].token())]}
+
+
 def test_sigma_k_on_b_fiber(q3):
     # sigma_1 multiplies the B fiber by (tau/(tau-1))^((p-1)/2) = -1
     _, fb = build_generators(q3)
