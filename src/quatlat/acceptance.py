@@ -23,19 +23,14 @@ from .lattice import (
     check_gamma3_dictionary,
     compute_k_tau,
     letter_map,
+    oracle_check_table,
     phi_k_map,
     verify_homomorphism,
 )
 from .parikh import compare, enumerate_parikh, membership
-from .presets import EXAMPLES, first_commuting_language, get_presentation
+from .presets import ENDOMORPHISMS, EXAMPLES, first_commuting_language, gamma3_orbits, get_presentation
 from .quat import QuatAlgebra, gamma3_matrix_relations, verify_power_lemma
-from .rewrite import (
-    free_reduce,
-    normal_form,
-    orbit_size,
-    parse_word,
-    pi_action,
-)
+from .rewrite import free_reduce, normal_form, pi_action
 
 
 @dataclass
@@ -65,8 +60,6 @@ def check_construction_fidelity():
 
 
 def check_oracle_equivalence():
-    from .lattice import oracle_check_table
-
     rep3 = oracle_check_table(get_presentation("q3"))
     rep5 = oracle_check_table(get_presentation("q5"))
     rels = gamma3_matrix_relations()
@@ -79,9 +72,7 @@ def check_oracle_equivalence():
 
 
 def check_orbits():
-    g3 = get_presentation("gamma3")
-    o1 = orbit_size(g3, parse_word(g3, "a"), parse_word(g3, "x,x"))
-    o2 = orbit_size(g3, parse_word(g3, "x"), parse_word(g3, "a,a"))
+    o1, o2 = gamma3_orbits(get_presentation("gamma3"))
     return (o1 == 12 and o2 == 12), f"pi_a orbit of x^2 = {o1}, pi_x orbit of a^2 = {o2}"
 
 
@@ -122,9 +113,7 @@ def check_endomorphisms():
     rep_ktau = verify_homomorphism(pres, pres, phi_k_map(pres, pres, 2))
     rep_phi1 = verify_homomorphism(pres, pres, phi_k_map(pres, pres, 1))
     g4 = get_presentation("gamma4")
-    rep_g4 = verify_homomorphism(
-        g4, g4, letter_map(g4, g4, {"a": ["a"] * 4, "b": ["b"] * 4, "x": ["x"], "y": ["y"]})
-    )
+    rep_g4 = verify_homomorphism(g4, g4, letter_map(g4, g4, ENDOMORPHISMS["gamma4"][1]))
     lemma_ok, lemma_count = True, 0
     for params in (pres.params, get_presentation("q5").params):
         algebra = QuatAlgebra(params.ext)
@@ -189,30 +178,26 @@ def check_parikh_gamma3_signed():
     return ok, detail
 
 
-def check_parikh_gamma4():
-    g4 = get_presentation("gamma4")
+def _check_languages(lattice: str, bound: int, how_many: str):
+    """Every registered language of one lattice against its expected set
+    at one bound; `how_many` spells their number for the detail."""
+    pres = get_presentation(lattice)
     fails = []
     for key, ex in EXAMPLES.items():
-        if ex.lattice != "gamma4":
+        if ex.lattice != lattice:
             continue
-        points = enumerate_parikh(g4, ex.spec(g4), 15)
-        rep = compare(points, ex.expected, 15)
+        rep = compare(enumerate_parikh(pres, ex.spec(pres), bound), ex.expected, bound)
         if not rep.ok:
             fails.append((key, rep.missing, rep.extra))
-    return not fails, f"four languages at N=15; failures: {fails or 'none'}"
+    return not fails, f"{how_many} languages at N={bound}; failures: {fails or 'none'}"
+
+
+def check_parikh_gamma4():
+    return _check_languages("gamma4", 15, "four")
 
 
 def check_parikh_gamma32():
-    g32 = get_presentation("gamma32")
-    fails = []
-    for key, ex in EXAMPLES.items():
-        if ex.lattice != "gamma32":
-            continue
-        points = enumerate_parikh(g32, ex.spec(g32), 10)
-        rep = compare(points, ex.expected, 10)
-        if not rep.ok:
-            fails.append((key, rep.missing, rep.extra))
-    return not fails, f"five languages at N=10; failures: {fails or 'none'}"
+    return _check_languages("gamma32", 10, "five")
 
 
 def check_parikh_q5_commuting():

@@ -10,6 +10,7 @@ prints one text line per acceptance check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -44,6 +45,16 @@ def _load_lattice(arg: str) -> Presentation:
         f"--lattice {arg!r} is neither a preset {presets.PRESET_NAMES}, a file, "
         "nor a parameter list like p=5,e=1,c=2,tau=3"
     )
+
+
+@contextlib.contextmanager
+def _too_large(flag: str, value):
+    """Report the OverflowError that Python raises for a sequence longer
+    than sys.maxsize as a ValueError naming the flag that asked for it."""
+    try:
+        yield
+    except OverflowError:
+        raise ValueError(f"{flag} {value!r} asks for a word or tuple longer than {sys.maxsize}") from None
 
 
 def _key_values(text: str, usage: str, keys: tuple, defaults: dict) -> dict:
@@ -107,11 +118,12 @@ def _parse_remap(arg: str | None):
 
 
 def _spec_from_args(pres, args) -> parikh.BoundedLanguageSpec:
-    try:
-        words = tuple(rewrite.parse_word(pres, w) for w in args.words.split(";"))
-        parikh.BoundedLanguageSpec(words)
-    except ValueError as exc:
-        raise ValueError(f"--words {args.words!r}: {exc}") from None
+    with _too_large("--words", args.words):
+        try:
+            words = tuple(rewrite.parse_word(pres, w) for w in args.words.split(";"))
+            parikh.BoundedLanguageSpec(words)
+        except ValueError as exc:
+            raise ValueError(f"--words {args.words!r}: {exc}") from None
     remap = _parse_remap(args.remap)
     try:
         return parikh.BoundedLanguageSpec(words, signed=args.signed, remap=remap)
@@ -158,16 +170,9 @@ def _suite_reports(pres: Presentation, suite: str, powers) -> dict:
             endo["phi_k_tau"] = lattice.verify_homomorphism(
                 pres, pres, lattice.phi_k_map(pres, pres, pres.k_tau)
             )["ok"]
-        elif pres.name == "gamma3":
-            cube = lattice.letter_map(
-                pres, pres, {"a": ["a"] * 3, "b": ["b"] * 3, "x": ["x^-1"] * 3, "y": ["y^-1"] * 3}
-            )
-            endo["cube"] = lattice.verify_homomorphism(pres, pres, cube)["ok"]
-        elif pres.name == "gamma4":
-            m = lattice.letter_map(
-                pres, pres, {"a": ["a"] * 4, "b": ["b"] * 4, "x": ["x"], "y": ["y"]}
-            )
-            endo["fourth_power"] = lattice.verify_homomorphism(pres, pres, m)["ok"]
+        elif pres.name in presets.ENDOMORPHISMS:
+            label, images = presets.ENDOMORPHISMS[pres.name]
+            endo[label] = lattice.verify_homomorphism(pres, pres, lattice.letter_map(pres, pres, images))["ok"]
         if endo:
             applicable = True
             reports["endo"] = {"ok": all(endo.values()), **endo}
@@ -179,10 +184,7 @@ def _suite_reports(pres: Presentation, suite: str, powers) -> dict:
             target = presets.get_presentation("gamma3")
         if target is not None:
             applicable = True
-            a = rewrite.parse_word(target, "a")
-            x = rewrite.parse_word(target, "x")
-            o1 = rewrite.orbit_size(target, a, rewrite.parse_word(target, "x,x"))
-            o2 = rewrite.orbit_size(target, x, rewrite.parse_word(target, "a,a"))
+            o1, o2 = presets.gamma3_orbits(target)
             reports["orbits"] = {"ok": o1 == 12 and o2 == 12, "pi_a_x2": o1, "pi_x_a2": o2}
     if suite in ("dict", "all") and pres.kind == "parametric" and pres.params.field.q == 3:
         applicable = True
@@ -199,7 +201,8 @@ def cmd_verify(args) -> int:
         powers = tuple(int(x) for x in args.powers.split(","))
     except ValueError:
         raise ValueError(f"--powers {args.powers!r} is not a comma list of integers like 1,2") from None
-    reports = _suite_reports(pres, args.suite, powers)
+    with _too_large("--powers", args.powers):
+        reports = _suite_reports(pres, args.suite, powers)
     ok = all(rep["ok"] for rep in reports.values())
     _dump({"ok": ok, "suites": reports}, args.out)
     return 0 if ok else 1
@@ -208,7 +211,8 @@ def cmd_verify(args) -> int:
 def cmd_parikh(args) -> int:
     pres = _load_lattice(args.lattice)
     spec = _spec_from_args(pres, args)
-    points = parikh.enumerate_parikh(pres, spec, args.bound)
+    with _too_large("--bound", args.bound):
+        points = parikh.enumerate_parikh(pres, spec, args.bound)
     _dump({"bound": args.bound, "points": [list(p) for p in points]}, args.out)
     return 0
 
@@ -286,7 +290,8 @@ def cmd_compare(args) -> int:
     if args.bound is None:
         raise ValueError("--bound is required without a registry entry")
     expected = _read_set("--expected", args.expected, args, pres, spec)
-    points = parikh.enumerate_parikh(pres, spec, args.bound)
+    with _too_large("--bound", args.bound):
+        points = parikh.enumerate_parikh(pres, spec, args.bound)
     report = parikh.compare(points, expected, args.bound)
     _dump(
         {
@@ -303,7 +308,9 @@ def cmd_compare(args) -> int:
 
 def cmd_growth(args) -> int:
     obj = _read_set("--set", args.set, args)
-    _dump({"n": args.n, "growth": parikh.growth(obj, args.n)}, args.out)
+    with _too_large("--set", args.set):
+        count = parikh.growth(obj, args.n)
+    _dump({"n": args.n, "growth": count}, args.out)
     return 0
 
 

@@ -24,7 +24,6 @@ x^(q+1).  Every value is immutable and hashable.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterator
 
 
@@ -277,7 +276,8 @@ def find_nonsquare(field: Field) -> FieldElem:
 
 class QuadExt:
     """The quadratic extension F_q[Z] of a field, with Z^2 = c non-square;
-    one instance per (field, c)."""
+    one instance per (field, c).  `_fibers` caches the norm fibers by
+    the index of their norm."""
 
     _made: dict = {}
 
@@ -294,6 +294,7 @@ class QuadExt:
         ext.zero = QuadElem(ext, field.zero, field.zero)
         ext.one = QuadElem(ext, field.one, field.zero)
         ext.gen = QuadElem(ext, field.zero, field.one)  # the element Z
+        ext._fibers = {}
         return cls._made.setdefault((field, c.idx), ext)
 
     def element(self, u, v=0) -> "QuadElem":
@@ -358,7 +359,7 @@ class QuadElem:
 
     def __rmul__(self, other):
         if isinstance(other, (FieldElem, int)):
-            return self * self.ext.field.element(other) if isinstance(other, int) else self * other
+            return self * self.ext.field.element(other)
         return NotImplemented
 
     def conj(self) -> "QuadElem":
@@ -404,20 +405,15 @@ class QuadElem:
 
 
 def norm_fiber(ext: QuadExt, s) -> tuple:
-    """All xi in F_q[Z]* with N(xi) = s, in enumeration order; size q+1."""
+    """All xi in F_q[Z]* with N(xi) = s, in enumeration order; size q+1.
+    Each fiber is found once and kept on its extension."""
     s = ext.field.element(s)
     if s.is_zero():
         raise FieldError("norm fiber over zero is empty of units")
-    return _norm_fiber_cached(ext, s)
-
-
-@functools.lru_cache(maxsize=256)
-def _norm_fiber_cached(ext: QuadExt, s: FieldElem) -> tuple:
-    out = []
-    for x in ext.elements():
-        if not x.is_zero() and x.norm() == s:
-            out.append(x)
-    return tuple(out)
+    fiber = ext._fibers.get(s.idx)
+    if fiber is None:
+        fiber = ext._fibers[s.idx] = tuple(x for x in ext.elements() if not x.is_zero() and x.norm() == s)
+    return fiber
 
 
 def sigma_k(ext: QuadExt, xi: QuadElem, k: int) -> QuadElem:

@@ -193,7 +193,6 @@ class Presentation:
 
     def __init__(
         self,
-        kind: str,
         alphabet_a: Sequence[GenLabel],
         alphabet_b: Sequence[GenLabel],
         inverse: dict,
@@ -201,7 +200,6 @@ class Presentation:
         params: LatticeParams | None = None,
         name: str | None = None,
     ):
-        self.kind = kind
         self.alphabet_a = tuple(alphabet_a)
         self.alphabet_b = tuple(alphabet_b)
         self.inverse = inverse
@@ -210,7 +208,7 @@ class Presentation:
         self.name = name
         letters = self.alphabet_a + self.alphabet_b
         self.by_token = {l.token(): l for l in letters}
-        self.k_tau = compute_k_tau(params) if kind == "parametric" else None
+        self.k_tau = compute_k_tau(params) if params is not None else None
         for code, l in enumerate(letters):
             if l.code not in (None, code):
                 raise ComplexError(f"letter {l} already has code {l.code} in another presentation")
@@ -224,6 +222,12 @@ class Presentation:
         for (a, b), (b2, a2) in swap.items():
             rows[b.code][a.code] = (rows[b2.code], a2.code)
             rows[a2.code][b2.code] = (rows[a.code], b.code)
+
+    @property
+    def kind(self) -> str:
+        """'parametric' for a lattice built from field data, 'named' for
+        one given by its squares."""
+        return "named" if self.params is None else "parametric"
 
     def _validate(self):
         la, lb = self.alphabet_a, self.alphabet_b
@@ -344,7 +348,7 @@ def build_square_table(params: LatticeParams) -> Presentation:
         for lb in labels_b:
             lam, mu = solve_square(params, la.index, lb.index)
             swap[(la, lb)] = (by_index_b[lam], by_index_a[mu])
-    return Presentation("parametric", labels_a, labels_b, inverse, swap, params=params)
+    return Presentation(labels_a, labels_b, inverse, swap, params=params)
 
 
 def expand_squares(
@@ -384,7 +388,7 @@ def expand_squares(
     expected = len(alphabet_a) * len(alphabet_b)
     if len(swap) != expected:
         raise ComplexError(f"incomplete complex: {len(swap)} of {expected} pairs covered")
-    return Presentation("named", alphabet_a, alphabet_b, inverse, swap, name=name)
+    return Presentation(alphabet_a, alphabet_b, inverse, swap, name=name)
 
 
 def compute_k_tau(params: LatticeParams) -> int:
@@ -545,17 +549,14 @@ def check_finite_lemmas(pres: Presentation, powers=(1, 2, 3, 4)) -> dict:
 # named lattices
 
 
-def _load_named(name: str) -> Presentation:
-    text = (resources.files("quatlat") / "data" / f"{name}.json").read_text()
-    return presentation_from_json(json.loads(text))
-
-
 _NAMED_CACHE: dict = {}
 
 
 def named_presentation(name: str) -> Presentation:
+    """The named lattice of a bundled data file, read once."""
     if name not in _NAMED_CACHE:
-        _NAMED_CACHE[name] = _load_named(name)
+        text = (resources.files("quatlat") / "data" / f"{name}.json").read_text()
+        _NAMED_CACHE[name] = presentation_from_json(json.loads(text))
     return _NAMED_CACHE[name]
 
 

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .lattice import Presentation
-from .rewrite import append_letter, is_identity
+from .rewrite import append_letter, commutes, is_identity
 
 class HypothesisViolatedError(ValueError):
     """The bounded language does not satisfy the shape the symbolic
@@ -434,8 +434,6 @@ def power_diagonal_prediction(pres: Presentation, tokens) -> PowerDiagonal:
     Raises HypothesisViolatedError when the shape is wrong — for a
     commuting pair the image is the full semilinear {(n, m, n, m)}
     instead."""
-    from .rewrite import commutes
-
     if pres.kind != "parametric":
         raise HypothesisViolatedError("prediction needs a parametric lattice")
     if len(tokens) != 4:

@@ -1,9 +1,13 @@
-"""Bundled lattices and the reproducible example languages.
+"""Bundled lattices, their checked facts, and the reproducible example
+languages.
 
-Presets: the three named lattices (loaded from data files) and the two
-smallest parametric ones.  Each example language pairs a bounded
-language over a preset with the symbolic set its enumeration must
-reproduce; `quatlat compare` consumes this registry.
+Presets: the three named lattices (loaded from data files, and cached
+by `lattice.named_presentation`) and the two smallest parametric ones.
+The power endomorphisms of gamma3 and gamma4 and the gamma3 orbit sizes
+are stated here once, for `quatlat verify` and `quatlat repro` alike.
+Each example language pairs a bounded language over a preset with the
+symbolic set its enumeration must reproduce; `quatlat compare` consumes
+this registry.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 from .lattice import LatticeParams, Presentation, build_square_table, named_presentation
 from .parikh import BoundedLanguageSpec, LinearSet, PowerDiagonal, SemilinearSet
-from .rewrite import parse_word
+from .rewrite import orbit_size, parse_word
 
 PRESET_NAMES = ("gamma3", "gamma4", "gamma32", "q3", "q5")
 
@@ -21,18 +25,32 @@ _PARAM_PRESETS = {
     "q5": (5, 1, 2, 3),
 }
 
-_CACHE: dict = {}
+_PARAM_CACHE: dict = {}
 
 
 def get_presentation(name: str) -> Presentation:
-    if name not in _CACHE:
-        if name in _PARAM_PRESETS:
-            _CACHE[name] = build_square_table(LatticeParams.make(*_PARAM_PRESETS[name]))
-        elif name in PRESET_NAMES:
-            _CACHE[name] = named_presentation(name)
-        else:
-            raise KeyError(f"unknown preset {name!r}; have {PRESET_NAMES}")
-    return _CACHE[name]
+    if name in _PARAM_PRESETS:
+        if name not in _PARAM_CACHE:
+            _PARAM_CACHE[name] = build_square_table(LatticeParams.make(*_PARAM_PRESETS[name]))
+        return _PARAM_CACHE[name]
+    if name in PRESET_NAMES:
+        return named_presentation(name)
+    raise KeyError(f"unknown preset {name!r}; have {PRESET_NAMES}")
+
+
+# The power endomorphisms of two named lattices, by lattice name: the
+# name of the map and the image of each letter, for `lattice.letter_map`.
+ENDOMORPHISMS = {
+    "gamma3": ("cube", {"a": ["a"] * 3, "b": ["b"] * 3, "x": ["x^-1"] * 3, "y": ["y^-1"] * 3}),
+    "gamma4": ("fourth_power", {"a": ["a"] * 4, "b": ["b"] * 4, "x": ["x"], "y": ["y"]}),
+}
+
+
+def gamma3_orbits(g3: Presentation) -> tuple:
+    """The sizes of the pi_a orbit of x^2 and of the pi_x orbit of a^2,
+    on a presentation of gamma3; both are 12."""
+    a, x = parse_word(g3, "a"), parse_word(g3, "x")
+    return orbit_size(g3, a, x + x), orbit_size(g3, x, a + a)
 
 
 @dataclass(frozen=True)

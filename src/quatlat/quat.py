@@ -220,27 +220,36 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
+def _primitive(polys) -> list:
+    """polys divided by their gcd and scaled so that the first nonzero
+    one is monic; not all may be zero.  This is the representative of a
+    class mod K* (a ProjQuat's coordinates) and, for (den, num), of a
+    fraction (a RatFun's)."""
+    g = polys[0]
+    for pl in polys[1:]:
+        g = poly_gcd(pl, g)
+        if g.degree == 0:
+            break
+    if g.degree > 0:
+        polys = [pl // g for pl in polys]
+    first = next(pl for pl in polys if pl)
+    if not first.is_monic():
+        inv = first.lead().inverse()
+        polys = [pl * inv for pl in polys]
+    return polys
+
+
 class RatFun:
     """A rational function num/den over F_q; den monic, gcd(num, den) = 1."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        field = num.field
         if den is None:
-            den = Poly.const(field, 1)
+            den = Poly.const(num.field, 1)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = Poly.const(field, 1)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.lead()
-            if lead != field.one:
-                inv = lead.inverse()
-                num, den = num * inv, den * inv
+        den, num = _primitive((den, num))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -302,14 +311,20 @@ def as_ratfun(field: Field, value) -> RatFun:
 
 
 class QuatAlgebra:
-    """The quaternion algebra over F_q(t) attached to a non-square c."""
+    """The quaternion algebra over F_q(t) attached to a non-square c; one
+    instance per extension F_q[Z], Z^2 = c."""
 
-    def __init__(self, ext: QuadExt):
-        self.ext = ext
-        self.field = ext.field
-        self.c = ext.c
-        self.s = Poly(self.field, (0, -1, 1))  # t(t-1) = t^2 - t
-        self.one = self.element(1)
+    _made: dict = {}
+
+    def __new__(cls, ext: QuadExt):
+        algebra = cls._made.get(ext)
+        if algebra is None:
+            algebra = super().__new__(cls)
+            algebra.ext, algebra.field, algebra.c = ext, ext.field, ext.c
+            algebra.s = Poly(ext.field, (0, -1, 1))  # t(t-1) = t^2 - t
+            algebra.one = algebra.element(1)
+            algebra = cls._made.setdefault(ext, algebra)
+        return algebra
 
     def element(self, x0, x1=0, x2=0, x3=0) -> "Quat":
         f = self.field
@@ -333,16 +348,6 @@ class QuatAlgebra:
 
     def generator(self, xi: QuadElem, f=None) -> "ProjQuat":
         return self.generator_quat(xi, f).projective()
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, QuatAlgebra):
-            return NotImplemented
-        return self.ext == other.ext
-
-    def __hash__(self):
-        return hash(self.ext)
 
     def __repr__(self):
         return f"QuatAlgebra(q={self.field.q}, c={self.c!r})"
@@ -409,14 +414,14 @@ class Quat:
     def same_class(self, other: "Quat") -> bool:
         """True iff both are nonzero and equal mod K*; unlike comparing
         `projective()`, this takes no gcd."""
-        return self.algebra == other.algebra and _proportional(self.coords, other.coords)
+        return self.algebra is other.algebra and _proportional(self.coords, other.coords)
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Quat):
             return NotImplemented
-        return self.coords == other.coords and self.algebra == other.algebra
+        return self.coords == other.coords and self.algebra is other.algebra
 
     def __hash__(self):
         return hash(self.coords)
@@ -443,20 +448,8 @@ class ProjQuat:
     def __init__(self, quat: Quat):
         if quat.is_zero():
             raise ValueError("zero quaternion has no projective class")
-        algebra = quat.algebra
-        field = algebra.field
-        polys = quat.coords
-        g = Poly(field)
-        for pl in polys:
-            g = poly_gcd(g, pl)
-        if g.degree > 0:
-            polys = [pl // g for pl in polys]
-        lead = next(pl for pl in polys if not pl.is_zero()).lead()
-        if lead != field.one:
-            inv = lead.inverse()
-            polys = [pl * inv for pl in polys]
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", tuple(polys))
+        object.__setattr__(self, "algebra", quat.algebra)
+        object.__setattr__(self, "coords", tuple(_primitive(quat.coords)))
 
     def __setattr__(self, *_):
         raise AttributeError("ProjQuat is immutable")
@@ -483,7 +476,7 @@ class ProjQuat:
             return True
         if not isinstance(other, ProjQuat):
             return NotImplemented
-        return self.coords == other.coords and self.algebra == other.algebra
+        return self.coords == other.coords and self.algebra is other.algebra
 
     def __hash__(self):
         return hash(self.coords)

@@ -56,17 +56,12 @@ class NormalForm:
 
 
 def free_reduce(pres: Presentation, w: Word) -> Word:
-    """Cancel adjacent inverse pairs in a one-sided word."""
-    sides = {g.side for g in w}
-    if len(sides) > 1:
+    """Cancel adjacent inverse pairs in a one-sided word: its normal
+    form, which has one part."""
+    if len({g.side for g in w}) > 1:
         raise MixedSidesError("free reduction needs a one-sided word")
-    out = []
-    for g in w:
-        if out and out[-1] == pres.inverse[g]:
-            out.pop()
-        else:
-            out.append(g)
-    return tuple(out)
+    nf = normal_form(pres, w)
+    return nf.a_part or nf.b_part
 
 
 def _push_through(row, word):
@@ -92,7 +87,8 @@ def append_letter(pres: Presentation, a_part: tuple, b_part: tuple, g: GenLabel,
             if b_part and b_part[-1] == inv_code[c]:
                 return a_part, b_part[:-1]
             return a_part, b_part + (c,)
-        c, b_part = _push_through(pres._rows[c], b_part)
+        if b_part:
+            c, b_part = _push_through(pres._rows[c], b_part)
         if a_part and a_part[-1] == inv_code[c]:
             return a_part[:-1], b_part
         return a_part + (c,), b_part
@@ -100,7 +96,8 @@ def append_letter(pres: Presentation, a_part: tuple, b_part: tuple, g: GenLabel,
         if a_part and a_part[-1] == inv_code[c]:
             return a_part[:-1], b_part
         return a_part + (c,), b_part
-    c, a_part = _push_through(pres._rows[c], a_part)
+    if a_part:
+        c, a_part = _push_through(pres._rows[c], a_part)
     if b_part and b_part[-1] == inv_code[c]:
         return a_part, b_part[:-1]
     return a_part, b_part + (c,)
@@ -125,14 +122,14 @@ def is_identity(pres: Presentation, w: Word) -> bool:
 def pi_action(pres: Presentation, g: Word, h: Word):
     """For an A-word g and B-word h, the pair (pi_g(h), pi_h(g)) from the
     reversed normal form g*h = pi_g(h) * pi_h(g); both lengths are
-    preserved."""
-    g = free_reduce(pres, tuple(g))
-    h = free_reduce(pres, tuple(h))
+    preserved.  The AB normal form of g*h is the pair of free reductions
+    of g and h."""
+    g, h = tuple(g), tuple(h)
     if any(l.side != "A" for l in g) or any(l.side != "B" for l in h):
         raise MixedSidesError("pi action needs an A-word and a B-word")
-    nf = normal_form(pres, g + h, "BA")
-    assert len(nf.b_part) == len(h) and len(nf.a_part) == len(g), "pi action changed lengths"
-    return nf.b_part, nf.a_part
+    ab, ba = normal_form(pres, g + h), normal_form(pres, g + h, "BA")
+    assert len(ba.b_part) == len(ab.b_part) and len(ba.a_part) == len(ab.a_part), "pi action changed lengths"
+    return ba.b_part, ba.a_part
 
 
 def orbit_size(pres: Presentation, g: Word, h: Word) -> int:

@@ -397,6 +397,11 @@ OUTPUT_DIGESTS = {
     "verify --lattice gamma3 --suite all": (0, "7bb494262bd3f48622a0159ec75142d507e18f91b8e42da10d6b1d4b50e93c83"),
     "verify --lattice gamma4 --suite all": (0, "1e5f11c5abae81127494196e8718c1d00f734ea2a1c94343a3c76b6f4f5c7246"),
     "repro": (1, "033e186c72ffaa238a5056514700bb21f1b207ed771f818fb52d826b16581469"),
+    # two fields that no preset uses: F_9 (e = 2) and F_7
+    "verify --lattice p=3,e=2,c=1:1,tau=0:1 --suite all": (
+        0, "3412d212f27117a8932e7ee6d7ed1b54142fce4506f4ecf5e1abffb9fe09901f"),
+    "verify --lattice p=7,e=1,c=3,tau=2 --suite all": (
+        0, "b7457ea77a2d9850b3711da4486e710de596e8c573829e2b5a6fbc205600783d"),
 }
 
 
@@ -575,3 +580,23 @@ def test_lattice_file_with_non_int_field_parameters_names_the_flag(capsys, tmp_p
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: --lattice {str(path)!r}: field parameters"), captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["parikh", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "100000000000000000000"], "--bound"),
+        (["verify", "--lattice", "q3", "--suite", "lemmas", "--powers", "99"], "--powers"),
+        (["parikh", "--lattice", "gamma3", "--words", "a^99999999999999999999;x", "--bound", "2"], "--words"),
+        (["growth", "--set", "power-diagonal:m=9,d=99999999999999999999", "--n", "3"], "--set"),
+    ],
+    ids=["parikh-bound", "verify-powers", "parikh-exponent", "growth-arity"],
+)
+def test_values_too_large_to_expand_name_their_flag(capsys, argv, flag):
+    """Each asks for a word or tuple longer than sys.maxsize, where Python
+    raises OverflowError; exit 1 would read as a failed verification."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {flag} "), captured.err
+    assert argv[argv.index(flag) + 1] in captured.err and "asks for a word or tuple longer" in captured.err

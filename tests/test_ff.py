@@ -162,6 +162,7 @@ def test_norm_fiber_examples(ext3):
     f = ext3.field
     fiber1 = norm_fiber(ext3, f.one)
     assert set(fiber1) == {ext3.element(1), ext3.element(2), ext3.gen, -ext3.gen}
+    assert norm_fiber(ext3, f.one) is fiber1 and norm_fiber(ext3, 1) is fiber1
     fiber2 = norm_fiber(ext3, f.element(2))
     assert set(fiber2) == {
         ext3.element(u, v) for u in (1, 2) for v in (1, 2)

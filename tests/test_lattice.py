@@ -332,7 +332,6 @@ def test_self_paired_alphabet_rejected():
     b = GenLabel("B", "b")
     with pytest.raises(ComplexError):
         Presentation(
-            "named",
             (a,),
             (b,),
             {a: a, b: b},

@@ -182,6 +182,8 @@ def test_basis_relations(alg3):
 
 
 def test_unit_and_scalars(alg3):
+    assert QuatAlgebra(alg3.ext) is QuatAlgebra(alg3.ext) is alg3
+    assert QuatAlgebra(QuadExt(Field(3), 2)) is alg3  # 2 = -1 in F_3
     rng = random.Random(13)
     y = rand_quat(rng, alg3)
     assert alg3.one * y == y and y * alg3.one == y

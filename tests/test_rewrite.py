@@ -232,6 +232,9 @@ def test_anti_torus(q5, g3):
 def test_pi_action_rejects_wrong_sides(g3):
     with pytest.raises(MixedSidesError):
         pi_action(g3, parse_word(g3, "x"), parse_word(g3, "a"))
+    # sides are read before reduction: a B-word that reduces to e is still a B-word
+    with pytest.raises(MixedSidesError):
+        pi_action(g3, parse_word(g3, "x,x^-1"), parse_word(g3, "y"))
 
 
 @pytest.fixture(scope="module")
