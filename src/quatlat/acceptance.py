@@ -77,20 +77,15 @@ def check_orbits():
 
 
 def check_k_tau_sigma():
-    q3, q5 = get_presentation("q3").params, get_presentation("q5").params
-    k3 = compute_k_tau(q3)
-    k5 = compute_k_tau(q5)
-    ok = k3 == 2 and k5 == 1
-    details = [f"k_tau(3,-1,-1)={k3}", f"k_tau(5,2,3)={k5}"]
-    for params in (q3, q5):
-        k = compute_k_tau(params)
-        fixed = all(
-            sigma_k(params.ext, xi, k) == xi
-            for xi in build_generators(params)[0] + build_generators(params)[1]
-        )
+    q3, q5 = get_presentation("q3"), get_presentation("q5")
+    ok = q3.k_tau == 2 and q5.k_tau == 1
+    details = [f"k_tau(3,-1,-1)={q3.k_tau}", f"k_tau(5,2,3)={q5.k_tau}"]
+    for pres in (q3, q5):
+        ext, k = pres.params.ext, pres.k_tau
+        fixed = all(sigma_k(ext, l.index, k) == l.index for l in pres.alphabet_a + pres.alphabet_b)
         ok = ok and fixed
         if not fixed:
-            details.append(f"sigma_{k} not identity at q={params.field.q}")
+            details.append(f"sigma_{k} not identity at q={pres.params.field.q}")
     checked = 0
     for q in (3, 5, 7):
         field = Field(q)

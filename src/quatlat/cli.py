@@ -22,8 +22,11 @@ from .lattice import LatticeParams, Presentation
 def _dump(data, out: str | None) -> None:
     text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"--out {out!r} cannot be written: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

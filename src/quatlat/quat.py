@@ -19,9 +19,10 @@ same zero pattern and x_j*y_i = y_j*x_i for every j, with i the first
 nonzero coordinate.  A projective class, as `generator()` and the power
 lemma build it, is content-normalized: the four coordinates are divided
 by their gcd and scaled so the first nonzero one is monic; equality is
-then structural.  Rational functions (monic denominator coprime to the
-numerator) only parametrize generators, as in the power lemma's
-g = f^m / (t(t-1))^k.
+then structural.  A `RatFun` is a generator parameter num/den in normal
+form (den monic and coprime to num) with no arithmetic of its own:
+generators read its parts, and the power lemma builds its
+g = f^m / (t(t-1))^((m-1)/2) in one construction from f's parts.
 
 The module also carries the fixed 3x3 matrix quadruple over F_3(t)
 whose projective relations match the rank-(2,2) lattice presentation at
@@ -240,7 +241,8 @@ def _primitive(polys) -> list:
 
 
 class RatFun:
-    """A rational function num/den over F_q; den monic, gcd(num, den) = 1."""
+    """A generator parameter num/den over F_q, held in normal form: den
+    monic, gcd(num, den) = 1.  It has no arithmetic."""
 
     __slots__ = ("num", "den")
 
@@ -256,58 +258,32 @@ class RatFun:
     def __setattr__(self, *_):
         raise AttributeError("RatFun is immutable")
 
-    @property
-    def field(self) -> Field:
-        return self.num.field
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __mul__(self, other):
-        if isinstance(other, FieldElem):
-            return RatFun(self.num * other, self.den)
-        other = as_ratfun(self.field, other)
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    def inverse(self) -> "RatFun":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return RatFun(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * as_ratfun(self.field, other).inverse()
-
-    def __pow__(self, n: int) -> "RatFun":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return RatFun(self.num**n, self.den**n)
-
     def __eq__(self, other):
-        if self is other:
-            return True
-        if isinstance(other, RatFun):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (Poly, int, FieldElem)):
-            return self == as_ratfun(self.field, other)
-        return NotImplemented
+        if not isinstance(other, RatFun):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def __repr__(self):
-        if self.den == Poly.const(self.field, 1):
+        if self.den.degree == 0:
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
 
 
-def as_ratfun(field: Field, value) -> RatFun:
-    if isinstance(value, RatFun):
-        return value
-    if isinstance(value, Poly):
-        return RatFun(value)
-    if isinstance(value, (int, FieldElem)):
-        return RatFun(Poly.const(field, value))
-    raise TypeError(f"cannot coerce {value!r} to a rational function")
+def _num_den(field: Field, f) -> tuple:
+    """(num, den) of a generator parameter f: t for None, (f, 1) for a Poly
+    or a constant, a RatFun's own parts; a zero f is refused."""
+    if f is None:
+        num, den = Poly.t(field), Poly.const(field, 1)
+    elif isinstance(f, RatFun):
+        num, den = f.num, f.den
+    else:
+        num, den = _as_poly(field, f), Poly.const(field, 1)
+    if num.is_zero():
+        raise ValueError("generator parameter f must be nonzero")
+    return num, den
 
 
 class QuatAlgebra:
@@ -333,18 +309,15 @@ class QuatAlgebra:
     def generator_quat(self, xi: QuadElem, f=None) -> "Quat":
         """c*f(t) + xi*F*Z as an algebra element (xi = u + vZ).
 
-        f is a polynomial or a rational function num/den; the result is
-        the integral representative c*num + den*xi*F*Z, which is exactly
-        c*f + xi*F*Z when f is a polynomial and equals it mod K* always."""
+        f is None (for t), a polynomial or constant, or a RatFun num/den;
+        the result is the integral representative c*num + den*xi*F*Z,
+        which is exactly c*f + xi*F*Z when f is a polynomial and equals it
+        mod K* always."""
         if xi.is_zero():
             raise ValueError("generator index xi must be nonzero")
-        if f is None:
-            f = Poly.t(self.field)
-        f = as_ratfun(self.field, f)
-        if f.is_zero():
-            raise ValueError("generator parameter f must be nonzero")
+        num, den = _num_den(self.field, f)
         # xi*F*Z = -c*v*F - u*ZF in the 1, Z, F, ZF basis
-        return self.element(f.num * self.c, 0, f.den * -(self.c * xi.v), f.den * -xi.u)
+        return self.element(num * self.c, 0, den * -(self.c * xi.v), den * -xi.u)
 
     def generator(self, xi: QuadElem, f=None) -> "ProjQuat":
         return self.generator_quat(xi, f).projective()
@@ -492,14 +465,12 @@ def verify_power_lemma(algebra: QuatAlgebra, xi: QuadElem, f, k: int) -> bool:
     Coefficient degrees grow linearly with p^k; keep p^k <= 81 or so."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    field = algebra.field
-    m = field.p**k
-    f = as_ratfun(field, f if f is not None else Poly.t(field))
+    m = algebra.field.p**k
+    num, den = _num_den(algebra.field, f)
     lhs = (algebra.generator_quat(xi, f) ** m).projective()
     xi_prime = sigma_k(algebra.ext, xi, k)
-    g = f**m / RatFun(algebra.s) ** ((m - 1) // 2)
-    rhs = algebra.generator(xi_prime, g)
-    return lhs == rhs
+    g = RatFun(num**m, den**m * algebra.s ** ((m - 1) // 2))
+    return lhs == algebra.generator(xi_prime, g)
 
 
 class Mat3:
@@ -523,16 +494,11 @@ class Mat3:
         return cls(field, [[Poly(field, e) for e in row] for row in rows])
 
     def __mul__(self, other: "Mat3") -> "Mat3":
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in (1, 2):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return Mat3(self.field, rows)
+        f, cols = self.field, tuple(zip(*other.rows))
+        return Mat3(f, [
+            [Poly._of(f, _dot(f, [(1, x.idx, y.idx) for x, y in zip(row, col)])) for col in cols]
+            for row in self.rows
+        ])
 
     def adjugate(self) -> "Mat3":
         r = self.rows

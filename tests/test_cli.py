@@ -600,3 +600,24 @@ def test_values_too_large_to_expand_name_their_flag(capsys, argv, flag):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {flag} "), captured.err
     assert argv[argv.index(flag) + 1] in captured.err and "asks for a word or tuple longer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["construct", "--lattice", "q3"], "missing-dir"),
+        (["verify", "--lattice", "q3", "--suite", "oracle"], "directory"),
+        (["parikh", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "3"], "missing-dir"),
+        (["compare", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "3"], "directory"),
+        (["growth", "--set", "power-diagonal:m=9", "--n", "5"], "directory"),
+    ],
+    ids=["construct", "verify", "parikh", "compare", "growth"],
+)
+def test_unwritable_out_names_the_flag(capsys, tmp_path, argv, target):
+    """An --out that cannot be opened is bad usage (exit 2), not a failed
+    check (exit 1) and not a traceback."""
+    out = str(tmp_path / "missing" / "x.json") if target == "missing-dir" else str(tmp_path)
+    code = main([*argv, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: --out {out!r} cannot be written"), captured.err

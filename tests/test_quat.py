@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from quatlat.ff import Field, QuadExt, norm_fiber
+import quatlat.quat
+from quatlat.ff import Field, QuadExt, norm_fiber, sigma_k
+from quatlat.lattice import LatticeParams, build_generators
 from quatlat.quat import (
     Mat3,
     Poly,
@@ -285,9 +287,73 @@ def test_power_lemma_nontrivial_f(alg5):
     rng = random.Random(19)
     fibers = norm_fiber(alg5.ext, -alg5.c)
     f = rand_ratfun(rng, alg5.field, 2)
-    while f.is_zero():
+    while f.num.is_zero():
         f = rand_ratfun(rng, alg5.field, 2)
     assert verify_power_lemma(alg5, fibers[0], f, 1)
+
+
+def _lemma_cases(params):
+    algebra = QuatAlgebra(params.ext)
+    fiber_a, fiber_b = build_generators(params)
+    return algebra, fiber_a + fiber_b
+
+
+@pytest.mark.parametrize(
+    "params",
+    [LatticeParams.make(5, 1, 2, 3), LatticeParams.make(3, 2, [1, 1], [0, 1])],
+    ids=["q5", "F9"],
+)
+@pytest.mark.parametrize("k", [1, 2])
+def test_power_lemma_refuses_a_doubled_twist(monkeypatch, params, k):
+    """Negative control: with xi' = 2*sigma_k(xi) the closed form is
+    wrong on every generator, and the lemma must say so."""
+    monkeypatch.setattr(quatlat.quat, "sigma_k", lambda ext, xi, k: sigma_k(ext, xi, k) * 2)
+    algebra, fibers = _lemma_cases(params)
+    assert not any(verify_power_lemma(algebra, xi, None, k) for xi in fibers)
+
+
+@pytest.mark.parametrize(
+    "params,refused",
+    [(LatticeParams.make(3, 1, -1, -1), 4), (LatticeParams.make(3, 2, [1, 1], [0, 1]), 10)],
+    ids=["q3", "F9"],
+)
+def test_power_lemma_refuses_a_missing_twist(monkeypatch, params, refused):
+    """Negative control: with sigma_1 replaced by the identity the lemma
+    must fail exactly on the generators that sigma_1 moves."""
+    algebra, fibers = _lemma_cases(params)
+    moved = [sigma_k(algebra.ext, xi, 1) != xi for xi in fibers]
+    monkeypatch.setattr(quatlat.quat, "sigma_k", lambda ext, xi, k: xi)
+    verdicts = [verify_power_lemma(algebra, xi, None, 1) for xi in fibers]
+    assert [not v for v in verdicts] == moved
+    assert sum(moved) == refused
+
+
+def test_generator_parameter_spellings(alg5):
+    """f may be None (for t), a Poly, an int or a RatFun; each spelling of
+    one value gives one generator, and a zero f is refused in each."""
+    field = alg5.field
+    xi = norm_fiber(alg5.ext, -alg5.c)[0]
+    t, two = Poly.t(field), Poly.const(field, 2)
+    for same in ([None, t, RatFun(t), RatFun(t * 2, two)], [two, 2, RatFun(two)]):
+        quats = {alg5.generator_quat(xi, f) for f in same}
+        assert len(quats) == 1
+        assert all(verify_power_lemma(alg5, xi, f, 1) for f in same)
+    assert verify_power_lemma(alg5, xi, RatFun(t, t + 1), 1)
+    for zero in (Poly(field), 0, RatFun(Poly(field))):
+        with pytest.raises(ValueError):
+            alg5.generator_quat(xi, zero)
+        with pytest.raises(ValueError):
+            verify_power_lemma(alg5, xi, zero, 1)
+
+
+def test_ratfun_is_a_value_without_arithmetic():
+    field = Field(3)
+    t = Poly.t(field)
+    r = RatFun(t)
+    assert r != t and t != r and r == RatFun(t * 2, Poly.const(field, 2))
+    for op in ("__mul__", "__truediv__", "__pow__", "inverse"):
+        assert not hasattr(r, op)
+    assert not hasattr(quatlat.quat, "as_ratfun")
 
 
 def test_matrix_oracle():
