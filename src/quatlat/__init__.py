@@ -30,7 +30,6 @@ from .quat import Poly, ProjQuat, Quat, QuatAlgebra, RatFun
 from .rewrite import (
     NormalForm,
     commutes,
-    format_word,
     free_reduce,
     is_anti_torus,
     is_identity,
@@ -67,7 +66,6 @@ __all__ = [
     "RatFun",
     "NormalForm",
     "commutes",
-    "format_word",
     "free_reduce",
     "is_anti_torus",
     "is_identity",

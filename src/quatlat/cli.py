@@ -60,6 +60,16 @@ def _too_large(flag: str, value):
         raise ValueError(f"{flag} {value!r} asks for a word or tuple longer than {sys.maxsize}") from None
 
 
+@contextlib.contextmanager
+def _naming(flag: str, value):
+    """Prefix a ValueError that the library raises for `value` with the
+    flag that gave it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{flag} {value!r}: {exc}") from None
+
+
 def _key_values(text: str, usage: str, keys: tuple, defaults: dict) -> dict:
     """The pairs of a "key=value,..." list as a dict of strings.  Each of
     `keys` must be given once, unless `defaults` has it, and no other key
@@ -91,10 +101,8 @@ def _lattice_params(arg: str) -> LatticeParams:
         c, tau = ([int(x) for x in kv[key].split(":")] for key in ("c", "tau"))
     except ValueError:
         raise ValueError(usage) from None
-    try:
+    with _naming("--lattice", arg):
         return LatticeParams.make(p, e, c, tau)
-    except ValueError as exc:
-        raise ValueError(f"--lattice {arg!r}: {exc}") from None
 
 
 _REMAP_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
@@ -121,17 +129,12 @@ def _parse_remap(arg: str | None):
 
 
 def _spec_from_args(pres, args) -> parikh.BoundedLanguageSpec:
-    with _too_large("--words", args.words):
-        try:
-            words = tuple(rewrite.parse_word(pres, w) for w in args.words.split(";"))
-            parikh.BoundedLanguageSpec(words)
-        except ValueError as exc:
-            raise ValueError(f"--words {args.words!r}: {exc}") from None
+    with _too_large("--words", args.words), _naming("--words", args.words):
+        words = tuple(rewrite.parse_word(pres, w) for w in args.words.split(";"))
+        parikh.BoundedLanguageSpec(words)
     remap = _parse_remap(args.remap)
-    try:
+    with _naming("--remap", args.remap):
         return parikh.BoundedLanguageSpec(words, signed=args.signed, remap=remap)
-    except ValueError as exc:
-        raise ValueError(f"--remap {args.remap!r}: {exc}") from None
 
 
 def cmd_construct(args) -> int:
@@ -147,7 +150,8 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _suite_reports(pres: Presentation, suite: str, powers) -> dict:
+def _suite_reports(pres: Presentation, args, powers: tuple) -> dict:
+    suite = args.suite
     reports = {}
     applicable = False
     if suite in ("oracle", "all") and pres.kind == "parametric":
@@ -161,7 +165,8 @@ def _suite_reports(pres: Presentation, suite: str, powers) -> dict:
         reports["matrix"] = {"ok": all(rels.values()), "relations": rels}
     if suite in ("lemmas", "all") and pres.kind == "parametric":
         applicable = True
-        rep = lattice.check_finite_lemmas(pres, powers=powers)
+        with _too_large("--powers", args.powers), _naming("--powers", args.powers):
+            rep = lattice.check_finite_lemmas(pres, powers=powers)
         reports["lemmas"] = {
             "ok": rep["ok"],
             "failures": rep["failures"],
@@ -204,8 +209,7 @@ def cmd_verify(args) -> int:
         powers = tuple(int(x) for x in args.powers.split(","))
     except ValueError:
         raise ValueError(f"--powers {args.powers!r} is not a comma list of integers like 1,2") from None
-    with _too_large("--powers", args.powers):
-        reports = _suite_reports(pres, args.suite, powers)
+    reports = _suite_reports(pres, args, powers)
     ok = all(rep["ok"] for rep in reports.values())
     _dump({"ok": ok, "suites": reports}, args.out)
     return 0 if ok else 1
@@ -214,7 +218,7 @@ def cmd_verify(args) -> int:
 def cmd_parikh(args) -> int:
     pres = _load_lattice(args.lattice)
     spec = _spec_from_args(pres, args)
-    with _too_large("--bound", args.bound):
+    with _too_large("--bound", args.bound), _naming("--bound", args.bound):
         points = parikh.enumerate_parikh(pres, spec, args.bound)
     _dump({"bound": args.bound, "points": [list(p) for p in points]}, args.out)
     return 0
@@ -228,10 +232,8 @@ def _power_diagonal(flag: str, descriptor: str) -> parikh.PowerDiagonal:
         m, d = int(kv["m"]), int(kv["d"])
     except ValueError:
         raise ValueError(usage) from None
-    try:
+    with _naming(flag, descriptor):
         return parikh.PowerDiagonal(m, d)
-    except ValueError as exc:
-        raise ValueError(f"{flag} {descriptor!r}: {exc}") from None
 
 
 def _read_set(flag: str, descriptor: str, args, pres=None, spec=None):
@@ -250,10 +252,8 @@ def _read_set(flag: str, descriptor: str, args, pres=None, spec=None):
     if descriptor == "power-diagonal" and spec is not None:
         if any(len(w) != 1 for w in spec.words):
             raise ValueError(f"{flag} {descriptor!r} needs --words blocks of one letter each")
-        try:
+        with _naming(flag, descriptor):
             return parikh.power_diagonal_prediction(pres, [w[0].token() for w in spec.words])
-        except ValueError as exc:
-            raise ValueError(f"{flag} {descriptor!r}: {exc}") from None
     if os.path.exists(descriptor):
         try:
             with open(descriptor, encoding="utf-8") as fh:
@@ -293,7 +293,7 @@ def cmd_compare(args) -> int:
     if args.bound is None:
         raise ValueError("--bound is required without a registry entry")
     expected = _read_set("--expected", args.expected, args, pres, spec)
-    with _too_large("--bound", args.bound):
+    with _too_large("--bound", args.bound), _naming("--bound", args.bound):
         points = parikh.enumerate_parikh(pres, spec, args.bound)
     report = parikh.compare(points, expected, args.bound)
     _dump(
@@ -311,7 +311,7 @@ def cmd_compare(args) -> int:
 
 def cmd_growth(args) -> int:
     obj = _read_set("--set", args.set, args)
-    with _too_large("--set", args.set):
+    with _too_large("--set", args.set), _naming("--n", args.n):
         count = parikh.growth(obj, args.n)
     _dump({"n": args.n, "growth": count}, args.out)
     return 0

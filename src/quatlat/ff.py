@@ -193,15 +193,9 @@ class FieldElem:
         f = self.field
         return FieldElem(f, f.add[self.idx * f.q + f.element(other).idx])
 
-    def __radd__(self, other):
-        return self + other
-
     def __sub__(self, other):
         f = self.field
         return FieldElem(f, f.add[self.idx * f.q + f.neg[f.element(other).idx]])
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __neg__(self):
         return FieldElem(self.field, self.field.neg[self.idx])
@@ -210,9 +204,6 @@ class FieldElem:
         f = self.field
         return FieldElem(f, f.mul[self.idx * f.q + f.element(other).idx])
 
-    def __rmul__(self, other):
-        return self * other
-
     def inverse(self) -> "FieldElem":
         if not self.idx:
             raise ZeroDivisionError("inverse of zero field element")
@@ -220,9 +211,6 @@ class FieldElem:
 
     def __truediv__(self, other):
         return self * self.field.element(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.field.element(other) * self.inverse()
 
     def __pow__(self, n: int) -> "FieldElem":
         if n < 0:
@@ -356,11 +344,6 @@ class QuadElem:
             self.u * other.u + c * self.v * other.v,
             self.u * other.v + self.v * other.u,
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, (FieldElem, int)):
-            return self * self.ext.field.element(other)
-        return NotImplemented
 
     def conj(self) -> "QuadElem":
         return QuadElem(self.ext, self.u, -self.v)

@@ -296,9 +296,6 @@ class LinearSet:
 
         return go(target, 0)
 
-    def __contains__(self, point):
-        return self.contains(point)
-
     def enumerate_box(self, n: int) -> frozenset:
         if any(b > n for b in self.base):
             return frozenset()
@@ -336,9 +333,6 @@ class SemilinearSet:
     def contains(self, point) -> bool:
         return any(part.contains(point) for part in self.parts)
 
-    def __contains__(self, point):
-        return self.contains(point)
-
     def enumerate_box(self, n: int) -> frozenset:
         out: frozenset = frozenset()
         for part in self.parts:
@@ -371,9 +365,6 @@ class PowerDiagonal:
         while val % self.m == 0:
             val //= self.m
         return val == 1
-
-    def __contains__(self, point):
-        return self.contains(point)
 
     def enumerate_box(self, n: int) -> frozenset:
         pts = {(0,) * self.d}

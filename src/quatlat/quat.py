@@ -16,13 +16,14 @@ has polynomial coordinates once a rational f is cleared of its
 denominator, and the oracle compares products only mod K* = F_q(t)*.
 It does so by 2x2 minors, with no gcd: `Quat.same_class` asks for the
 same zero pattern and x_j*y_i = y_j*x_i for every j, with i the first
-nonzero coordinate.  A projective class, as `generator()` and the power
-lemma build it, is content-normalized: the four coordinates are divided
-by their gcd and scaled so the first nonzero one is monic; equality is
-then structural.  A `RatFun` is a generator parameter num/den in normal
-form (den monic and coprime to num) with no arithmetic of its own:
-generators read its parts, and the power lemma builds its
-g = f^m / (t(t-1))^((m-1)/2) in one construction from f's parts.
+nonzero coordinate.  A `ProjQuat`, the class the power lemma compares,
+is a normalized value with no group operations: the four coordinates
+are divided by their gcd and scaled so the first nonzero one is monic,
+and equality is then structural.  A `RatFun` is a generator parameter
+num/den in normal form (den monic and coprime to num) with no
+arithmetic of its own: generators read its parts, and the power lemma
+builds its g = f^m / (t(t-1))^((m-1)/2) in one construction from f's
+parts.
 
 The module also carries the fixed 3x3 matrix quadruple over F_3(t)
 whose projective relations match the rank-(2,2) lattice presentation at
@@ -116,9 +117,6 @@ class Poly:
             return Poly._of(field, [mul[row + k] for k in self.idx])
         return Poly._of(field, _dot(field, ((1, self.idx, _as_poly(field, other).idx),)))
 
-    def __rmul__(self, other):
-        return self * other
-
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -160,9 +158,6 @@ class Poly:
 
     def __hash__(self):
         return hash(self.idx)
-
-    def to_json(self) -> list:
-        return [list(self.field.vec[k]) for k in self.idx]
 
     def __repr__(self):
         if not self.idx:
@@ -319,9 +314,6 @@ class QuatAlgebra:
         # xi*F*Z = -c*v*F - u*ZF in the 1, Z, F, ZF basis
         return self.element(num * self.c, 0, den * -(self.c * xi.v), den * -xi.u)
 
-    def generator(self, xi: QuadElem, f=None) -> "ProjQuat":
-        return self.generator_quat(xi, f).projective()
-
     def __repr__(self):
         return f"QuatAlgebra(q={self.field.q}, c={self.c!r})"
 
@@ -340,9 +332,6 @@ class Quat:
 
     def __add__(self, other):
         return Quat(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return Quat(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
         return Quat(self.algebra, tuple(-a for a in self.coords))
@@ -363,11 +352,6 @@ class Quat:
         r2 = _dot(f, ((1, x0, y2), (c, x1, y3), (1, x2, y0), (mc, x3, y1)))
         r3 = _dot(f, ((1, x0, y3), (1, x1, y2), (m1, x2, y1), (1, x3, y0)))
         return Quat(algebra, tuple(Poly._of(f, r) for r in (r0, r1, r2, r3)))
-
-    def __rmul__(self, other):
-        if isinstance(other, (Poly, FieldElem, int)):
-            return self * other
-        return NotImplemented
 
     def conj(self) -> "Quat":
         x0, x1, x2, x3 = self.coords
@@ -399,9 +383,6 @@ class Quat:
     def __hash__(self):
         return hash(self.coords)
 
-    def to_json(self) -> list:
-        return [c.to_json() for c in self.coords]
-
     def __repr__(self):
         names = ("", "Z", "F", "ZF")
         terms = []
@@ -427,23 +408,6 @@ class ProjQuat:
     def __setattr__(self, *_):
         raise AttributeError("ProjQuat is immutable")
 
-    def lift(self) -> Quat:
-        return Quat(self.algebra, self.coords)
-
-    def __mul__(self, other: "ProjQuat") -> "ProjQuat":
-        return (self.lift() * other.lift()).projective()
-
-    def inverse(self) -> "ProjQuat":
-        # conjugation inverts mod K* since x * conj(x) is a scalar
-        return self.lift().conj().projective()
-
-    def is_identity(self) -> bool:
-        return all(pl.is_zero() for pl in self.coords[1:])
-
-    def __pow__(self, n: int) -> "ProjQuat":
-        base = self.lift() if n >= 0 else self.inverse().lift()
-        return (base ** abs(n)).projective()
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -455,7 +419,7 @@ class ProjQuat:
         return hash(self.coords)
 
     def __repr__(self):
-        return f"[{self.lift()!r}]"
+        return f"[{Quat(self.algebra, self.coords)!r}]"
 
 
 def verify_power_lemma(algebra: QuatAlgebra, xi: QuadElem, f, k: int) -> bool:
@@ -470,7 +434,7 @@ def verify_power_lemma(algebra: QuatAlgebra, xi: QuadElem, f, k: int) -> bool:
     lhs = (algebra.generator_quat(xi, f) ** m).projective()
     xi_prime = sigma_k(algebra.ext, xi, k)
     g = RatFun(num**m, den**m * algebra.s ** ((m - 1) // 2))
-    return lhs == algebra.generator(xi_prime, g)
+    return lhs == algebra.generator_quat(xi_prime, g).projective()
 
 
 class Mat3:

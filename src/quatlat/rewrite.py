@@ -196,23 +196,3 @@ def parse_word(pres: Presentation, text: str) -> Word:
         letters.extend([label] * n)
     return tuple(letters)
 
-
-def format_word(w: Word) -> str:
-    """Run-length encoded token form, inverse of parse_word."""
-    if not w:
-        return ""
-    runs = []
-    for g in w:
-        if runs and runs[-1][0] == g:
-            runs[-1][1] += 1
-        else:
-            runs.append([g, 1])
-    parts = []
-    for g, n in runs:
-        if g.inv:
-            parts.append(f"{g.name}^-{n}")
-        elif n == 1:
-            parts.append(g.name)
-        else:
-            parts.append(f"{g.name}^{n}")
-    return ",".join(parts)

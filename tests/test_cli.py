@@ -621,3 +621,22 @@ def test_unwritable_out_names_the_flag(capsys, tmp_path, argv, target):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: --out {out!r} cannot be written"), captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        (["parikh", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "-1"], "--bound -1: "),
+        (["compare", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "-1"], "--bound -1: "),
+        (["growth", "--set", "power-diagonal:m=9", "--n", "-1"], "--n -1: "),
+        (["verify", "--lattice", "q3", "--suite", "lemmas", "--powers", "-1"], "--powers '-1': "),
+    ],
+    ids=["parikh-bound", "compare-bound", "growth-n", "verify-powers"],
+)
+def test_values_out_of_range_name_their_flag(capsys, argv, prefix):
+    """The library's range checks reach the user prefixed with the flag
+    and the value given."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {prefix}"), captured.err

@@ -47,6 +47,13 @@ def pres5(q5):
     return build_square_table(q5)
 
 
+def _altered(pres, **attrs):
+    """A copy of pres with some attributes replaced; pres is untouched."""
+    broken = object.__new__(Presentation)
+    broken.__dict__.update(pres.__dict__, **attrs)
+    return broken
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         LatticeParams.make(3, 1, 1, -1)  # c = 1 is a square
@@ -70,7 +77,7 @@ def test_build_generators_q5_matches_stated_sets(q5):
     fa, fb = build_generators(q5)
 
     def embed_all(fiber):
-        return {alg.generator(xi) for xi in fiber}
+        return {alg.generator_quat(xi).projective() for xi in fiber}
 
     def lit(x0c, f_coef, fz_coef):
         # 2t + f_coef*F + fz_coef*FZ as a projective class
@@ -183,14 +190,11 @@ def test_oracle_check_q9():
 
 
 def test_oracle_catches_corruption(pres3):
-    broken = object.__new__(Presentation)
-    broken.__dict__.update(pres3.__dict__)
-    swap = dict(pres3.swap)
-    (k1, v1), (k2, v2) = list(swap.items())[:2]
-    swap[k1], swap[k2] = v2, v1
-    broken.swap = swap
+    (k1, v1), (k2, v2) = list(pres3.swap.items())[:2]
+    broken = _altered(pres3, swap={**pres3.swap, k1: v2, k2: v1})
     rep = oracle_check_table(broken)
     assert not rep["ok"] and rep["failures"]
+    assert not check_gamma3_dictionary(broken, named_presentation("gamma3"))
 
 
 @pytest.mark.parametrize("p,e", [(7, 1), (3, 2)], ids=["q=7", "q=9"])
@@ -200,13 +204,10 @@ def test_oracle_names_a_single_wrong_entry(p, e):
     field = Field(p, e)
     ext = QuadExt(field, find_nonsquare(field))
     pres = build_square_table(LatticeParams(ext, field.from_index(2)))
-    broken = object.__new__(Presentation)
-    broken.__dict__.update(pres.__dict__)
-    broken.swap = dict(pres.swap)
     keys = list(pres.swap)
     key = keys[len(keys) // 2]
-    broken.swap[key] = next(v for v in pres.swap.values() if v != pres.swap[key])
-    rep = oracle_check_table(broken)
+    value = next(v for v in pres.swap.values() if v != pres.swap[key])
+    rep = oracle_check_table(_altered(pres, swap={**pres.swap, key: value}))
     assert rep == {"ok": False, "checked": (p**e + 1) ** 2, "failures": [(key[0].token(), key[1].token())]}
 
 
@@ -253,6 +254,16 @@ def test_phi_k_maps(pres3):
         mapping = phi_k_map(pres3, pres3, k)
         assert all(len(w) == 3**k for w in mapping.values())
         assert verify_homomorphism(pres3, pres3, mapping)["ok"]
+
+
+def test_homomorphism_check_reports_a_broken_inverse(pres3):
+    """A letter's image doubled: the relation l * l^-1 = 1 fails for the
+    letter and for its inverse."""
+    mapping = phi_k_map(pres3, pres3, 1)
+    letter = pres3.alphabet_b[0]
+    rep = verify_homomorphism(pres3, pres3, {**mapping, letter: mapping[letter] * 2})
+    inverse = {f for f in rep["failures"] if f[0] == "inverse"}
+    assert not rep["ok"] and inverse == {("inverse", letter.token()), ("inverse", pres3.inverse[letter].token())}
 
 
 def test_phi_1_cross_lattice_q9():
@@ -348,6 +359,35 @@ def test_gamma3_dictionary(pres3):
     # the dictionary respects inversion
     for named_label, plabel in d.items():
         assert d[g3.inverse[named_label]] == pres3.inverse[plabel]
+
+
+@pytest.mark.parametrize("kind", ["eta-mu", "conj", "chain"])
+def test_finite_lemmas_name_a_corrupted_entry(pres3, kind):
+    """One swap value changed in a copy whose rewriting rows are left as
+    they were: the index identity it breaks names its entry, and no
+    other.  No powers are checked, so the rows are not read."""
+    ext = pres3.params.ext
+    a, b = pres3.a_label(ext.element(1)), pres3.b_label(ext.element(2, 1))
+    b2, a2 = pres3.swap[(a, b)]
+    # (Z, 1+2Z) -> (1+Z, 2Z) = (conj(eta), conj(xi))
+    az, bz = pres3.a_label(ext.gen), pres3.b_label(ext.element(1, 2))
+    key, value, entry = {
+        "eta-mu": ((a, b), (b, a2), (a, b)),  # lam = eta, but mu != xi
+        "conj": ((az, bz), (pres3.swap[(az, bz)][0], a), (az, bz)),  # mu = 1, not conj(xi)
+        "chain": ((a2, b), (b2, pres3.swap[(a2, b)][1]), (a, b)),  # (mu, eta) repeats lam
+    }[kind]
+    rep = check_finite_lemmas(_altered(pres3, swap={**pres3.swap, key: value}), powers=())
+    assert rep["failures"] == [(kind, repr(entry[0].index), repr(entry[1].index))]
+
+
+def test_finite_lemmas_report_a_wrong_k_tau(pres3):
+    """k_tau = 1 where it is 2: every non-commuting square's p-th power
+    relation is expected to hold, and none does."""
+    rep = check_finite_lemmas(_altered(pres3, k_tau=1), powers=(1, 2))
+    assert pres3.k_tau == 2 and not pres3.commuting_squares()
+    assert sorted(rep["failures"]) == sorted(
+        ("power", la.token(), lb.token(), 1, False) for la, lb in pres3.swap
+    )
 
 
 def test_check_finite_lemmas_fast(pres3, pres5):
