@@ -165,7 +165,7 @@ def _suite_reports(pres: Presentation, args, powers: tuple) -> dict:
         reports["matrix"] = {"ok": all(rels.values()), "relations": rels}
     if suite in ("lemmas", "all") and pres.kind == "parametric":
         applicable = True
-        with _too_large("--powers", args.powers), _naming("--powers", args.powers):
+        with _too_large("--powers", args.powers):
             rep = lattice.check_finite_lemmas(pres, powers=powers)
         reports["lemmas"] = {
             "ok": rep["ok"],
@@ -209,6 +209,8 @@ def cmd_verify(args) -> int:
         powers = tuple(int(x) for x in args.powers.split(","))
     except ValueError:
         raise ValueError(f"--powers {args.powers!r} is not a comma list of integers like 1,2") from None
+    if any(n < 0 for n in powers):  # checked here, since only the lemmas suite reads powers
+        raise ValueError(f"--powers {args.powers!r}: powers must be >= 0, got {powers}")
     reports = _suite_reports(pres, args, powers)
     ok = all(rep["ok"] for rep in reports.values())
     _dump({"ok": ok, "suites": reports}, args.out)

@@ -36,16 +36,16 @@ form against its exponents, then walks every prefix and looks its form
 up; each hit is a point.  For d = 1 the suffix is empty and the table
 holds only the empty form.
 
-The walks carry the parts as tuples of letter codes, as `append_letter`
-returns them, and the table is one dict keyed by a `str` with one
-character per code of a_part + b_part.  A-codes come before B-codes, so
-a key fixes the split, and it hashes in C.  A str stores one byte a
-character while the alphabet has at most 256 letters and two up to
-65536, so the keys stay compact and exact for any alphabet.  A key
-holds the list of the suffix exponents that reach its form; it has more
-than one when a block freely reduces to the identity.  The brute force
-is one such walk over all d blocks, keeping the products that reduce to
-the identity.
+The walks carry the parts as lists of letter codes, which
+`append_letter` changes in place; each branch copies its parent's lists
+once.  The table is one dict keyed by a `str` with one character per
+code of a_part + b_part.  A-codes come before B-codes, so a key fixes
+the split, and it hashes in C.  A str stores one byte a character while
+the alphabet has at most 256 letters and two up to 65536, so the keys
+stay compact and exact for any alphabet.  A key holds the list of the
+suffix exponents that reach its form; it has more than one when a block
+freely reduces to the identity.  The brute force is one such walk over
+all d blocks, keeping the products that reduce to the identity.
 
 `enumerate_parikh(jobs=...)` is a leftover: it must be at least 1 and
 changes nothing, since every value runs the search in this process (a
@@ -111,20 +111,24 @@ class BoundedLanguageSpec:
         return tuple(exps)
 
 
-def _products(pres, blocks, bound, u=(), v=(), exps=()):
+def _products(pres, blocks, bound, u=None, v=None, exps=()):
     """Yield (a_part, b_part, exps) for every exponent tuple over
     `blocks`, each a list of (word, sign) directions: the AB normal form
-    of u * v times the product of the blocks' powers."""
+    of u * v times the product of the blocks' powers.  The parts are code
+    lists that the walk goes on changing in place, so a yielded pair is
+    valid only until the next one."""
+    if u is None:
+        u, v = [], []
     if not blocks:
         yield u, v, exps
         return
     rest = blocks[1:]
     yield from _products(pres, rest, bound, u, v, exps + (0,))
     for w, sign in blocks[0]:
-        cu, cv = u, v
+        cu, cv = list(u), list(v)
         for e in range(1, bound + 1):
             for g in w:
-                cu, cv = append_letter(pres, cu, cv, g)
+                append_letter(pres, cu, cv, g)
             yield from _products(pres, rest, bound, cu, cv, exps + (sign * e,))
 
 

@@ -11,16 +11,18 @@ reduced into its own component, so the total length never increases.
 
 The swap table is a bireversible Mealy automaton: the pushed letter is
 its state, the letters of the component are its input.  Inside the
-rewriting core a word is a tuple of letter codes (positions in
-alphabet_a + alphabet_b), and the automaton is the presentation's row
-table, one row per letter code: a swap is `row, x = row[x]`, with no
-label hashed or compared on the way through.  `pres.swap`, the dict
-form, stays the source of truth.  Labels appear only at the edges:
-`append_letter` receives the arriving letter as a label and returns code
-parts, and `normal_form` decodes its result once.
+rewriting core the two parts of a form are lists of letter codes
+(positions in alphabet_a + alphabet_b), changed in place, and the
+automaton is the presentation's row table, one row per letter code: a
+swap is `row, x = row[x]`, with no label hashed or compared on the way
+through.  `pres.swap`, the dict form, stays the source of truth.  Labels
+appear only at the edges: `append_letter` receives the arriving letter
+as a label and rewrites the code lists, and `normal_form` decodes them
+once.
 
 The word problem is: both components empty.  The tables are never
-mutated, so everything here is safe to call concurrently.
+mutated and each call owns its lists, so everything here is safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class NotApplicableError(ValueError):
     """Operation undefined for this lattice kind."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NormalForm:
     """Reduced A-part and B-part; order 'AB' means a_part * b_part,
     order 'BA' means b_part * a_part."""
@@ -55,68 +57,64 @@ class NormalForm:
         return not self.a_part and not self.b_part
 
 
+def _push_through(row, word):
+    """Rewrite word * c as c' * word' in place, for a one-sided code list
+    and the row of a letter c of the other side; returns the code of c'."""
+    for i in range(len(word) - 1, -1, -1):
+        row, word[i] = row[word[i]]
+    return row[-1]
+
+
+def append_letter(pres: Presentation, a_part: list, b_part: list, g: GenLabel, order: str = "AB") -> None:
+    """One step of normal-form computation: tack the letter g on the
+    right of the element a_part * b_part (order 'AB') or b_part * a_part
+    ('BA'), whose parts are lists of letter codes, changed in place."""
+    c = g.code
+    own, other = (a_part, b_part) if g.side == "A" else (b_part, a_part)
+    if other and g.side != order[1]:  # the other part stands to the right
+        c = _push_through(pres._rows[c], other)
+    if own and own[-1] == pres._inv_code[c]:
+        own.pop()
+    else:
+        own.append(c)
+
+
+def _parts(pres: Presentation, w: Word, order: str):
+    """The code lists of w's normal form in the given order."""
+    a_part, b_part = [], []
+    for g in w:
+        append_letter(pres, a_part, b_part, g, order)
+    return a_part, b_part
+
+
+def _labels(pres: Presentation, codes) -> Word:
+    # a list comprehension sizes the tuple exactly; tuple(map(...)) resizes
+    # a guessed one, which strands tuples on CPython's per-size free lists
+    letters = pres._letters
+    return tuple([letters[c] for c in codes])
+
+
 def free_reduce(pres: Presentation, w: Word) -> Word:
     """Cancel adjacent inverse pairs in a one-sided word: its normal
     form, which has one part."""
     if len({g.side for g in w}) > 1:
         raise MixedSidesError("free reduction needs a one-sided word")
-    nf = normal_form(pres, w)
-    return nf.a_part or nf.b_part
-
-
-def _push_through(row, word):
-    """Rewrite word * c as c' * word' for a one-sided code word and the
-    row of a letter c of the other side; returns (c', word')."""
-    out = []
-    app = out.append
-    for x in reversed(word):
-        row, x2 = row[x]
-        app(x2)
-    out.reverse()
-    return row[-1], tuple(out)
-
-
-def append_letter(pres: Presentation, a_part: tuple, b_part: tuple, g: GenLabel, order: str = "AB"):
-    """One step of normal-form computation: tack the letter g on the
-    right of the element a_part * b_part (order 'AB') or b_part * a_part
-    ('BA'), whose parts are tuples of letter codes."""
-    c = g.code
-    inv_code = pres._inv_code
-    if order == "AB":
-        if g.side == "B":
-            if b_part and b_part[-1] == inv_code[c]:
-                return a_part, b_part[:-1]
-            return a_part, b_part + (c,)
-        if b_part:
-            c, b_part = _push_through(pres._rows[c], b_part)
-        if a_part and a_part[-1] == inv_code[c]:
-            return a_part[:-1], b_part
-        return a_part + (c,), b_part
-    if g.side == "A":
-        if a_part and a_part[-1] == inv_code[c]:
-            return a_part[:-1], b_part
-        return a_part + (c,), b_part
-    if a_part:
-        c, a_part = _push_through(pres._rows[c], a_part)
-    if b_part and b_part[-1] == inv_code[c]:
-        return a_part, b_part[:-1]
-    return a_part, b_part + (c,)
+    a_part, b_part = _parts(pres, w, "AB")
+    return _labels(pres, a_part or b_part)
 
 
 def normal_form(pres: Presentation, w: Word, order: str = "AB") -> NormalForm:
     """The unique two-sided normal form of w, in the requested order."""
     if order not in ("AB", "BA"):
         raise ValueError(f"order must be 'AB' or 'BA', not {order!r}")
-    a_part = b_part = ()
-    for g in w:
-        a_part, b_part = append_letter(pres, a_part, b_part, g, order)
+    a_part, b_part = _parts(pres, w, order)
     assert len(a_part) + len(b_part) <= len(w), "normal form grew"
-    letters = pres._letters
-    return NormalForm(tuple([letters[c] for c in a_part]), tuple([letters[c] for c in b_part]), order)
+    return NormalForm(_labels(pres, a_part), _labels(pres, b_part), order)
 
 
 def is_identity(pres: Presentation, w: Word) -> bool:
-    return normal_form(pres, w).is_identity
+    a_part, b_part = _parts(pres, w, "AB")
+    return not a_part and not b_part
 
 
 def pi_action(pres: Presentation, g: Word, h: Word):

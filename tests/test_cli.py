@@ -630,12 +630,16 @@ def test_unwritable_out_names_the_flag(capsys, tmp_path, argv, target):
         (["compare", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "-1"], "--bound -1: "),
         (["growth", "--set", "power-diagonal:m=9", "--n", "-1"], "--n -1: "),
         (["verify", "--lattice", "q3", "--suite", "lemmas", "--powers", "-1"], "--powers '-1': "),
+        (["verify", "--lattice", "gamma3", "--powers", "-1"], "--powers '-1': "),
+        (["verify", "--lattice", "q3", "--suite", "oracle", "--powers", "-1"], "--powers '-1': "),
     ],
-    ids=["parikh-bound", "compare-bound", "growth-n", "verify-powers"],
+    ids=["parikh-bound", "compare-bound", "growth-n", "verify-powers", "verify-powers-all-gamma3",
+         "verify-powers-oracle"],
 )
 def test_values_out_of_range_name_their_flag(capsys, argv, prefix):
-    """The library's range checks reach the user prefixed with the flag
-    and the value given."""
+    """The range checks reach the user prefixed with the flag and the
+    value given; --powers is refused for every suite, not only for the
+    lemmas that read it."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -6,7 +6,7 @@ import pytest
 
 from quatlat.ff import Field, QuadExt, find_nonsquare
 from quatlat.lattice import LatticeParams, build_square_table, named_presentation
-from quatlat.parikh import PowerDiagonal
+from quatlat.parikh import BoundedLanguageSpec, PowerDiagonal, _directions, _products
 from quatlat.presets import get_presentation
 from quatlat.rewrite import (
     MixedSidesError,
@@ -124,17 +124,19 @@ def test_ab_ba_agree_as_group_elements(g3):
 
 
 def test_append_letter_matches_normal_form(g3):
+    """append_letter changes the two code lists it is given and returns
+    nothing; letter by letter they reach the dict reference's form."""
     rng = random.Random(44)
+    letters = g3.alphabet_a + g3.alphabet_b
     for order in ("AB", "BA"):
         for _ in range(100):
             w = rand_word(rng, g3, rng.randint(0, 12))
-            u, v = (), ()
+            u, v = [], []
             for letter in w:
-                u, v = append_letter(g3, u, v, letter, order)
+                assert append_letter(g3, u, v, letter, order) is None
             assert all(type(c) is int for c in u + v)
-            nf = normal_form(g3, w, order)
-            letters = g3.alphabet_a + g3.alphabet_b
-            assert (tuple(letters[c] for c in u), tuple(letters[c] for c in v)) == (nf.a_part, nf.b_part)
+            got = (tuple(letters[c] for c in u), tuple(letters[c] for c in v))
+            assert got == reference_normal_form(g3, w, order)
 
 
 def test_identity_examples(g3):
@@ -319,3 +321,25 @@ def test_power_diagonal_words(g3, n):
     a, x, b = (g3.label(t) for t in "axb")
     word = (a,) * n + (x,) * n + (g3.inverse[b],) * n + (x,) * n
     assert is_identity(g3, word) == PowerDiagonal(9, 4).contains((n,) * 4)
+
+
+@pytest.mark.parametrize(
+    "name, words, signed, bound",
+    [("gamma3", "a;x;b^-1;x;a", False, 3), ("gamma3", "a;x;b;x", True, 2), ("q5", "A0;B0,A1;B1^-1", True, 2)],
+)
+def test_product_walk_yields_unshared_forms(name, words, signed, bound):
+    """Each form the meet's walk yields, read before the walk moves on,
+    is the dict reference's form of its block product: a branch that
+    shared its lists with another would show a neighbour's letters."""
+    pres = get_presentation(name)
+    spec = BoundedLanguageSpec(tuple(parse_word(pres, w) for w in words.split(";")), signed=signed)
+    letters = pres.alphabet_a + pres.alphabet_b
+    seen = set()
+    for u, v, exps in _products(pres, _directions(pres, spec), bound):
+        word = ()
+        for w, e in zip(spec.words, exps):
+            word += (w if e >= 0 else pres.invert_word(w)) * abs(e)
+        got = (tuple(letters[c] for c in u), tuple(letters[c] for c in v))
+        assert got == reference_normal_form(pres, word, "AB"), exps
+        seen.add(exps)
+    assert len(seen) == ((2 if signed else 1) * bound + 1) ** spec.arity
