@@ -17,9 +17,9 @@ filled by Horner on indices: for a = a0 + p*a' with a0 constant, row a
 is a0*b + x*(a'*b), read from rows a0 and a' through `add` and the map
 v -> x*v.  FieldElem wraps (field, index) for the public API.
 
-Extension elements u + vZ are pairs of F_q elements.  The norm down to
-F_q is N(u + vZ) = u^2 - c*v^2, which agrees with x * conj(x) and with
-x^(q+1).  Every value is immutable and hashable.
+Extension elements u + vZ are pairs of F_q elements; their product and
+norm N(u + vZ) = u^2 - c*v^2 (= x * conj(x) = x^(q+1)) run on index
+pairs (see _quad_ops).  Every value is immutable and hashable.
 """
 
 from __future__ import annotations
@@ -262,6 +262,22 @@ def find_nonsquare(field: Field) -> FieldElem:
     raise FieldError("no non-square found (is q even?)")
 
 
+def _quad_ops(field: Field, c: int):
+    """The product (u1, v1, u2, v2) -> (u, v) of F_q[Z], Z^2 = c, and the
+    norm (u, v) -> u^2 - c*v^2 on index pairs (u, v) of u + vZ; made once
+    per extension for its elements, fibers and squares."""
+    q, add, mul, neg = field.q, field.add, field.mul, field.neg
+    cmul = mul[c * q : (c + 1) * q]
+
+    def times(u1, v1, u2, v2):
+        return add[mul[u1 * q + u2] * q + cmul[mul[v1 * q + v2]]], add[mul[u1 * q + v2] * q + mul[v1 * q + u2]]
+
+    def norm(u, v):
+        return add[mul[u * q + u] * q + neg[cmul[mul[v * q + v]]]]
+
+    return times, norm
+
+
 class QuadExt:
     """The quadratic extension F_q[Z] of a field, with Z^2 = c non-square;
     one instance per (field, c).  `_fibers` caches the norm fibers by
@@ -279,9 +295,9 @@ class QuadExt:
         ext = super().__new__(cls)
         ext.field = field
         ext.c = c
-        ext.zero = QuadElem(ext, field.zero, field.zero)
         ext.one = QuadElem(ext, field.one, field.zero)
         ext.gen = QuadElem(ext, field.zero, field.one)  # the element Z
+        ext._times, ext._norm = _quad_ops(field, c.idx)
         ext._fibers = {}
         return cls._made.setdefault((field, c.idx), ext)
 
@@ -292,13 +308,13 @@ class QuadExt:
             return u
         return QuadElem(self, self.field.element(u), self.field.element(v))
 
-    def from_index(self, k: int) -> "QuadElem":
-        q = self.field.q
-        return QuadElem(self, self.field.from_index(k % q), self.field.from_index(k // q))
+    def pair(self, u: int, v: int) -> "QuadElem":
+        """The element u + vZ of two field indices."""
+        return QuadElem(self, FieldElem(self.field, u), FieldElem(self.field, v))
 
     def elements(self) -> Iterator["QuadElem"]:
-        for k in range(self.field.q**2):
-            yield self.from_index(k)
+        q = self.field.q
+        return (self.pair(u, v) for v in range(q) for u in range(q))
 
     def __repr__(self):
         return f"QuadExt({self.field!r}, c={self.c!r})"
@@ -323,42 +339,24 @@ class QuadElem:
     def __bool__(self):
         return not self.is_zero()
 
-    def __add__(self, other):
-        other = self.ext.element(other)
-        return QuadElem(self.ext, self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other):
-        other = self.ext.element(other)
-        return QuadElem(self.ext, self.u - other.u, self.v - other.v)
-
     def __neg__(self):
         return QuadElem(self.ext, -self.u, -self.v)
 
     def __mul__(self, other):
-        if isinstance(other, FieldElem):
-            return QuadElem(self.ext, self.u * other, self.v * other)
         other = self.ext.element(other)
-        c = self.ext.c
-        return QuadElem(
-            self.ext,
-            self.u * other.u + c * self.v * other.v,
-            self.u * other.v + self.v * other.u,
-        )
+        return self.ext.pair(*self.ext._times(self.u.idx, self.v.idx, other.u.idx, other.v.idx))
 
     def conj(self) -> "QuadElem":
         return QuadElem(self.ext, self.u, -self.v)
 
     def norm(self) -> FieldElem:
-        return self.u * self.u - self.ext.c * self.v * self.v
+        return FieldElem(self.ext.field, self.ext._norm(self.u.idx, self.v.idx))
 
     def inverse(self) -> "QuadElem":
         n = self.norm()
         if n.is_zero():
             raise ZeroDivisionError("inverse of zero extension element")
         return self.conj() * n.inverse()
-
-    def __truediv__(self, other):
-        return self * self.ext.element(other).inverse()
 
     def __pow__(self, n: int) -> "QuadElem":
         if n < 0:
@@ -381,21 +379,20 @@ class QuadElem:
     def __repr__(self):
         if self.v.is_zero():
             return repr(self.u)
-        if self.u.is_zero():
-            return f"{self.v!r}Z" if self.v != self.ext.field.one else "Z"
         vs = "Z" if self.v == self.ext.field.one else f"{self.v!r}Z"
-        return f"{self.u!r}+{vs}"
+        return vs if self.u.is_zero() else f"{self.u!r}+{vs}"
 
 
 def norm_fiber(ext: QuadExt, s) -> tuple:
     """All xi in F_q[Z]* with N(xi) = s, in enumeration order; size q+1.
     Each fiber is found once and kept on its extension."""
-    s = ext.field.element(s)
-    if s.is_zero():
+    s = ext.field.element(s).idx
+    if not s:
         raise FieldError("norm fiber over zero is empty of units")
-    fiber = ext._fibers.get(s.idx)
+    fiber = ext._fibers.get(s)
     if fiber is None:
-        fiber = ext._fibers[s.idx] = tuple(x for x in ext.elements() if not x.is_zero() and x.norm() == s)
+        q, norm = ext.field.q, ext._norm
+        fiber = ext._fibers[s] = tuple(ext.pair(u, v) for v in range(q) for u in range(q) if norm(u, v) == s)
     return fiber
 
 

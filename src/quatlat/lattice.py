@@ -11,7 +11,7 @@ Parametric lattices come from field data (q, c, tau): the A alphabet is
 indexed by the norm fiber over -c, the B alphabet by the fiber over
 c*tau/(1-tau), and each swap entry is the unique solution (lambda, mu)
 of   xi + eta = lambda + mu,   xi * conj(eta) = lambda * conj(mu),
-given in closed form by one division in F_q[Z] (see solve_square).
+given in closed form on index pairs of F_q[Z] (see solve_square).
 Named lattices are given by a literal list of squares over symbolic
 letters; the full table is expanded from the four readings of each
 square, never hand-entered.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .ff import Field, FieldElem, QuadExt, QuadElem, norm_fiber
+from .ff import Field, FieldElem, FieldError, QuadExt, QuadElem, norm_fiber
 from .quat import Poly, QuatAlgebra
 
 
@@ -95,15 +95,19 @@ Word = tuple  # sequence of GenLabel
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Field data (q, c, tau) for a parametric lattice."""
+    """Field data (q, c, tau) for a parametric lattice.  The norm of the
+    B letters, `b_norm_target` = c*tau/(1-tau), is computed once here."""
 
     ext: QuadExt
     tau: FieldElem
 
     def __post_init__(self):
         field = self.ext.field
+        if self.tau.field is not field:
+            raise FieldError(f"tau = {self.tau!r} lies in {self.tau.field!r}, not in {field!r}")
         if self.tau.is_zero() or self.tau == field.one:
             raise ValueError("tau must differ from 0 and 1")
+        object.__setattr__(self, "b_norm_target", self.ext.c * self.tau / (field.one - self.tau))
 
     @property
     def field(self) -> Field:
@@ -116,11 +120,6 @@ class LatticeParams:
     @property
     def a_norm_target(self) -> FieldElem:
         return -self.c
-
-    @property
-    def b_norm_target(self) -> FieldElem:
-        one = self.field.one
-        return self.c * self.tau / (one - self.tau)
 
     def to_json(self) -> dict:
         return {
@@ -317,18 +316,24 @@ def solve_square(params: LatticeParams, xi: QuadElem, eta: QuadElem):
 
     Substituting mu = xi+eta-lambda into the second equation gives
     xi*conj(eta) = lambda*conj(xi+eta) - s_B, so
-    lambda = (xi*conj(eta) + s_B) / conj(xi+eta); xi+eta != 0 because
-    the fibers are disjoint.  The norms and the product are checked."""
-    s_b = params.b_norm_target
-    total = xi + eta
-    prod = xi * eta.conj()
-    if total.is_zero():
+    lambda = (xi*conj(eta) + s_B) * (xi+eta) / N(xi+eta), on index pairs;
+    xi+eta != 0 as the fibers are disjoint.  Both norms, mu != 0 and the
+    product are checked."""
+    ext = params.ext
+    if xi.ext is not ext or eta.ext is not ext:
+        raise FieldError(f"({xi!r}, {eta!r}) are not both in {ext!r}")
+    q, add, mul, neg, inv = ext.field.q, ext.field.add, ext.field.mul, ext.field.neg, ext.field.inv
+    times, norm, s_a, s_b = ext._times, ext._norm, neg[ext.c.idx], params.b_norm_target.idx
+    tu, tv = add[xi.u.idx * q + eta.u.idx], add[xi.v.idx * q + eta.v.idx]
+    if not (tu or tv):
         raise SquareSolveError(f"xi + eta = 0 for ({xi!r}, {eta!r})")
-    lam = (prod + s_b) / total.conj()
-    mu = total - lam
-    if lam.norm() != s_b or mu.is_zero() or mu.norm() != params.a_norm_target or lam * mu.conj() != prod:
+    prod = pu, pv = times(xi.u.idx, xi.v.idx, eta.u.idx, neg[eta.v.idx])
+    n_inv = inv[norm(tu, tv)]
+    lu, lv = times(add[pu * q + s_b], pv, mul[tu * q + n_inv], mul[tv * q + n_inv])
+    mu, mv = add[tu * q + neg[lu]], add[tv * q + neg[lv]]
+    if norm(lu, lv) != s_b or not (mu or mv) or norm(mu, mv) != s_a or times(lu, lv, mu, neg[mv]) != prod:
         raise SquareSolveError(f"no solution for ({xi!r}, {eta!r})")
-    return lam, mu
+    return ext.pair(lu, lv), ext.pair(mu, mv)
 
 
 def build_square_table(params: LatticeParams) -> Presentation:
@@ -336,18 +341,14 @@ def build_square_table(params: LatticeParams) -> Presentation:
     fiber_a, fiber_b = build_generators(params)
     labels_a = tuple(GenLabel("A", f"A{i}", index=xi) for i, xi in enumerate(fiber_a))
     labels_b = tuple(GenLabel("B", f"B{i}", index=eta) for i, eta in enumerate(fiber_b))
-    by_index_a = {l.index: l for l in labels_a}
-    by_index_b = {l.index: l for l in labels_b}
-    inverse = {}
-    for l in labels_a:
-        inverse[l] = by_index_a[-l.index]
-    for l in labels_b:
-        inverse[l] = by_index_b[-l.index]
+    at_a, at_b = ({(l.index.u.idx, l.index.v.idx): l for l in labels} for labels in (labels_a, labels_b))
+    neg = params.field.neg
+    inverse = {l: at[neg[u], neg[v]] for at in (at_a, at_b) for (u, v), l in at.items()}
     swap = {}
     for la in labels_a:
         for lb in labels_b:
             lam, mu = solve_square(params, la.index, lb.index)
-            swap[(la, lb)] = (by_index_b[lam], by_index_a[mu])
+            swap[(la, lb)] = (at_b[lam.u.idx, lam.v.idx], at_a[mu.u.idx, mu.v.idx])
     return Presentation(labels_a, labels_b, inverse, swap, params=params)
 
 

@@ -379,6 +379,10 @@ CONSTRUCT_DIGESTS = {
     "p=5,e=1,c=2,tau=3": "37ed71280a9acde250cedee671404b01257f8b99b5eb0167181b356d18895c20",
     "p=3,e=2,c=1:1,tau=0:1": "c33c1af2cc64bc7cd795d29401bdb4da699a25c842bd4ce04830380f23196962",
     "q3": "37a7fa5b713cca10430dcfe805cc57769e759c5fef67f19b26dddb65be14f4c2",
+    # e = 2, 3 and 4: q = 25, 27 and 81
+    "p=5,e=2,c=0:1,tau=0:1": "f495a4b6bec49981ad00a9a897e43c467a2570b73a934b20ee66ef4288ebb2da",
+    "p=3,e=3,c=2:0:0,tau=0:1:0": "48f100d34f7b08d13bb06e71a29e0204b83580bc1114b8e80f534d9dd8404f75",
+    "p=3,e=4,c=0:1:0:0,tau=0:1:0:0": "1399ab89968e8b1afa6195310ec9012e17e8e26bac5615cc4550d9664bb20159",
 }
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from quatlat import ff
-from quatlat.ff import Field, QuadExt, find_nonsquare, norm_fiber
+from quatlat.ff import Field, FieldError, QuadExt, find_nonsquare, norm_fiber
 from quatlat.lattice import (
     ComplexError,
     GenLabel,
@@ -63,6 +63,14 @@ def test_params_validation():
         LatticeParams.make(3, 1, -1, 0)
 
 
+def test_params_refuse_a_tau_from_another_field():
+    field = Field(3, 2)
+    ext = QuadExt(field, find_nonsquare(field))
+    with pytest.raises(FieldError, match=r"Field\(3, 1\).*Field\(3, 2\)"):
+        LatticeParams(ext, Field(3).from_index(2))
+    assert LatticeParams(ext, field.from_index(2)).tau.field is field
+
+
 def test_build_generators_q3(q3):
     fa, fb = build_generators(q3)
     ext = q3.ext
@@ -115,22 +123,38 @@ def test_solve_square_dictionary_relations(q3):
     assert solve_square(q3, b, x) == (y, -b)  # bx = y b^-1
 
 
-def _scan_square(params, xi, eta):
+def _scan_fiber(ext, s):
+    """The norm fiber over s, by evaluating QuadElem.norm on every element
+    in enumeration order (norm_fiber's independent oracle)."""
+    return tuple(x for x in ext.elements() if x.norm() == s)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_norm_fiber_matches_element_scan(p, e):
+    field = Field(p, e)
+    ext = QuadExt(field, find_nonsquare(field))
+    for s in list(field.elements())[1:]:
+        assert norm_fiber(ext, s) == _scan_fiber(ext, s)
+
+
+def _scan_square(params, scan_b, xi, eta):
     """Every (lambda, mu) solving the square system, by scanning lambda
-    over the B fiber (the closed form's independent oracle)."""
-    total, prod = xi + eta, xi * eta.conj()
+    over the B fiber scan_b (the closed form's independent oracle); the
+    sums are taken coordinate by coordinate."""
+    ext = params.ext
+    total, prod = (xi.u + eta.u, xi.v + eta.v), xi * eta.conj()
     found = []
-    for lam in norm_fiber(params.ext, params.b_norm_target):
-        mu = total - lam
+    for lam in scan_b:
+        mu = ext.element(total[0] - lam.u, total[1] - lam.v)
         if not mu.is_zero() and mu.norm() == params.a_norm_target and lam * mu.conj() == prod:
             found.append((lam, mu))
     return found
 
 
 def _closed_form_cases():
-    # every tau for q = 3 .. 11 (25 pairs, e = 2 at q = 9), one tau at q = 25
+    # every tau for q = 3 .. 11 (25 pairs, e = 2 at q = 9), one tau at q = 25 and at q = 27
     cases = [(p, e, k) for p, e in ((3, 1), (5, 1), (7, 1), (3, 2), (11, 1)) for k in range(2, p**e)]
-    return cases + [(5, 2, 7)]
+    return cases + [(5, 2, 7), (3, 3, 5)]
 
 
 @pytest.mark.parametrize("p,e,k", _closed_form_cases())
@@ -138,9 +162,18 @@ def test_closed_form_solve_square_matches_fiber_scan(p, e, k):
     field = Field(p, e)
     params = LatticeParams(QuadExt(field, find_nonsquare(field)), field.from_index(k))
     fiber_a, fiber_b = build_generators(params)
+    scan_b = _scan_fiber(params.ext, params.b_norm_target)
     for xi in fiber_a:
         for eta in fiber_b:
-            assert [solve_square(params, xi, eta)] == _scan_square(params, xi, eta)
+            assert [solve_square(params, xi, eta)] == _scan_square(params, scan_b, xi, eta)
+
+
+def test_solve_square_refuses_elements_of_another_extension(q3, q5):
+    fiber_a3, fiber_b3 = build_generators(q3)
+    fiber_a5, fiber_b5 = build_generators(q5)
+    for xi, eta in ((fiber_a3[0], fiber_b3[0]), (fiber_a5[0], fiber_b3[0]), (fiber_a3[0], fiber_b5[0])):
+        with pytest.raises(FieldError):
+            solve_square(q5, xi, eta)
 
 
 def test_solve_square_refuses_a_system_without_solution(q5):
