@@ -53,11 +53,14 @@ def _load_lattice(arg: str) -> Presentation:
 @contextlib.contextmanager
 def _too_large(flag: str, value):
     """Report the OverflowError that Python raises for a sequence longer
-    than sys.maxsize as a ValueError naming the flag that asked for it."""
+    than sys.maxsize, and the MemoryError it raises for one too long to
+    allocate, as a ValueError naming the flag that asked for it."""
     try:
         yield
     except OverflowError:
         raise ValueError(f"{flag} {value!r} asks for a word or tuple longer than {sys.maxsize}") from None
+    except MemoryError:
+        raise ValueError(f"{flag} {value!r} asks for a word or tuple too long to hold in memory") from None
 
 
 @contextlib.contextmanager

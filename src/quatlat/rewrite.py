@@ -20,6 +20,24 @@ appear only at the edges: `append_letter` receives the arriving letter
 as a label and rewrites the code lists, and `normal_form` decodes them
 once.
 
+A run of same-side letters that must cross the other component is
+pushed through it as a whole when both have at least `_RUN_MIN` = 56
+letters, the size at which the two ways cost the same (`_push_run`).
+The run's swaps form a rectangle; the swap where run letter i meets part
+letter j needs only the swap where i met the letter before j and the one
+where i - 1 met j, so the swaps of one anti-diagonal depend only on the
+one before and are done together.  A swap is coded as one byte, state
+index times n_y plus letter index, so this needs n_A * n_B <= 256 (q <=
+13 for the parametric lattices; larger alphabets keep the row loop), and
+two `bytes.translate` calls give the next states and the next letters of
+a whole anti-diagonal.  Every letter outside such a run still goes
+through `append_letter`, and `_push_through`, the row loop, stays the
+oracle the push is tested against.  The normal forms of
+a^(p^n) b^(p^n) ... in `quatlat verify --lattice q5 --suite lemmas
+--powers 1,2,3,4` took 0.38 s with the row loop alone and take 0.17 s,
+and `verify --lattice q3 --suite all --powers 1,2,3,4,5,6` went from
+0.36 to 0.16 s (best of five, 2-vCPU Xeon, Python 3.11).
+
 The word problem is: both components empty.  The tables are never
 mutated and each call owns its lists, so everything here is safe to
 call concurrently.
@@ -28,6 +46,7 @@ call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .lattice import GenLabel, Presentation, Word
 
@@ -79,10 +98,89 @@ def append_letter(pres: Presentation, a_part: list, b_part: list, g: GenLabel, o
         own.append(c)
 
 
+# A run of at least this many letters, crossing a part of at least as
+# many, takes the anti-diagonal push: at 56 x 56 the two pushes cost about
+# the same on gamma3, gamma32 and q5 (2-vCPU Xeon, Python 3.11)
+_RUN_MIN = 56
+
+
+def _push_run(pres: Presentation, run, other: list) -> bytes:
+    """Push the letter codes in `run`, a nonempty run of one side's
+    letters, through the code list `other` of the other side, rewritten in
+    place; returns the codes pushed out, in order, as bytes: the codes
+    len(run) calls of `_push_through` would return.
+
+    In cell (i, j) run letter i meets letter j of `other`, counted from
+    the right; its inputs are the outputs of cells (i, j - 1) and
+    (i - 1, j), so the cells of one anti-diagonal are independent and go
+    through as one byte string, the band.  A cell is the byte s * ny + y,
+    with s and y the indices of its two letters in their alphabets and ny
+    the size of other's, so this needs n_A * n_B <= 256; one translate
+    gives each cell's next state times ny, one its next letter.  After each
+    step the first state leaves the band once it has crossed all of other
+    and the last letter once it has met the whole run, and the next run
+    letter and the next letter of other join at the two ends: each letter
+    moves one place on against the states."""
+    n_a, rows = len(pres.alphabet_a), pres._rows
+    if run[0] < n_a:
+        s0, y0, y1 = 0, n_a, len(rows)
+    else:
+        s0, y0, y1 = n_a, 0, n_a
+    ny = y1 - y0
+    cells = [row[y] for row in rows[s0 : s0 + len(rows) - ny] for y in range(y0, y1)]
+    to_state = bytes([(nxt[-1] - s0) * ny for nxt, _ in cells]).ljust(256, b"\0")
+    to_letter = bytes([out - y0 for _, out in cells]).ljust(256, b"\0")
+    k, n = len(run), len(other)
+    entering_states = bytes((c - s0) * ny for c in run)
+    entering_letters = bytes(y - y0 for y in reversed(other))
+    states, letters = entering_states[:1], entering_letters[:1]
+    pushed, passed = bytearray(), bytearray()
+    as_int = int.from_bytes
+    for d in range(k + n - 1):
+        # no byte of the sum carries: each is a cell, below 256
+        z = (as_int(states, "big") + as_int(letters, "big")).to_bytes(len(states), "big")
+        states, letters = z.translate(to_state), z.translate(to_letter)
+        if d >= n - 1:  # the first state in the band has crossed all of other
+            pushed.append(states[0])
+            states = states[1:]
+        if d >= k - 1:  # the last letter has met the whole run
+            passed.append(letters[-1])
+            letters = letters[:-1]
+        states += entering_states[d + 1 : d + 2]
+        letters = entering_letters[d + 1 : d + 2] + letters
+    other.clear()  # so the old and the new letters are never held at once
+    other.extend(y + y0 for y in reversed(passed))
+    return bytes(s // ny + s0 for s in pushed)
+
+
 def _parts(pres: Presentation, w: Word, order: str):
-    """The code lists of w's normal form in the given order."""
+    """The code lists of w's normal form in the given order.  A run of at
+    least _RUN_MIN letters of side order[0], arriving while the part of
+    the other side has at least _RUN_MIN letters, goes through `_push_run`;
+    every other letter goes through `append_letter`."""
     a_part, b_part = [], []
-    for g in w:
+    rest = w
+    if len(w) >= 2 * _RUN_MIN and len(pres.alphabet_a) * len(pres.alphabet_b) <= 256:
+        own, other = (a_part, b_part) if order[0] == "A" else (b_part, a_part)
+        inv = pres._inv_code
+        sides, long_run = "".join([g.side for g in w]), order[0] * _RUN_MIN
+        done, start = 0, sides.find(long_run)
+        while start >= 0:
+            end = sides.find(order[1], start)
+            end = len(w) if end < 0 else end
+            for g in islice(w, done, start):
+                append_letter(pres, a_part, b_part, g, order)
+            done = start
+            if len(other) >= _RUN_MIN:
+                for c in _push_run(pres, bytes(g.code for g in islice(w, start, end)), other):
+                    if own and own[-1] == inv[c]:
+                        own.pop()
+                    else:
+                        own.append(c)
+                done = end
+            start = sides.find(long_run, end)
+        rest = islice(w, done, None)
+    for g in rest:
         append_letter(pres, a_part, b_part, g, order)
     return a_part, b_part
 

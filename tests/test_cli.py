@@ -607,6 +607,28 @@ def test_values_too_large_to_expand_name_their_flag(capsys, argv, flag):
 
 
 @pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "--lattice", "q3", "--suite", "lemmas", "--powers", "39"], "--powers"),
+        (["parikh", "--lattice", "gamma3", "--words", "a^2305843009213693952;x", "--bound", "2"], "--words"),
+        (["parikh", "--lattice", "gamma3", "--words", "a;x;b^-1;x", "--bound", "2305843009213693952"], "--bound"),
+        (["growth", "--set", "power-diagonal:m=9,d=2305843009213693952", "--n", "3"], "--set"),
+    ],
+    ids=["verify-powers", "parikh-exponent", "parikh-bound", "growth-arity"],
+)
+def test_values_too_long_to_allocate_name_their_flag(capsys, argv, flag):
+    """Each asks for a word or tuple of 2**61 to 3**39 entries: no longer
+    than sys.maxsize, but more pointers than an address space holds, so
+    CPython raises MemoryError before allocating anything; exit 1 with a
+    traceback would read as a failed verification."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {flag} "), captured.err
+    assert argv[argv.index(flag) + 1] in captured.err and "too long to hold in memory" in captured.err
+
+
+@pytest.mark.parametrize(
     "argv,target",
     [
         (["construct", "--lattice", "q3"], "missing-dir"),

@@ -4,13 +4,17 @@ import re
 
 import pytest
 
+import quatlat.rewrite
 from quatlat.ff import Field, QuadExt, find_nonsquare
 from quatlat.lattice import LatticeParams, build_square_table, named_presentation
 from quatlat.parikh import BoundedLanguageSpec, PowerDiagonal, _directions, _products
 from quatlat.presets import get_presentation
 from quatlat.rewrite import (
+    _RUN_MIN,
     MixedSidesError,
     NotApplicableError,
+    _push_run,
+    _push_through,
     append_letter,
     commutes,
     free_reduce,
@@ -316,7 +320,7 @@ def test_long_normal_forms_match_dict_reference(name):
             assert (nf.a_part, nf.b_part) == reference_normal_form(pres, w, order)
 
 
-@pytest.mark.parametrize("n", [1, 3, 9, 27, 81])
+@pytest.mark.parametrize("n", [1, 3, 9, 27, 81, 243, 729])
 def test_power_diagonal_words(g3, n):
     a, x, b = (g3.label(t) for t in "axb")
     word = (a,) * n + (x,) * n + (g3.inverse[b],) * n + (x,) * n
@@ -343,3 +347,91 @@ def test_product_walk_yields_unshared_forms(name, words, signed, bound):
         assert got == reference_normal_form(pres, word, "AB"), exps
         seen.add(exps)
     assert len(seen) == ((2 if signed else 1) * bound + 1) ** spec.arity
+
+
+T = _RUN_MIN
+# (run length k, other part length L): both sides of T, and 1
+RECTANGLES = [(1, 1), (1, T + 5), (T + 5, 1), (3, 7), (T - 1, T + 1), (T, T), (T + 9, 2 * T), (2 * T, T + 3)]
+
+
+def test_push_run_matches_the_row_loop(table_zoo):
+    """The anti-diagonal push rewrites `other` and pushes out the same
+    letters as one `_push_through` per run letter, on random rectangles."""
+    rng = random.Random(50)
+    for pres in table_zoo:
+        for side in "AB":
+            own, other_side = (pres.alphabet_a, pres.alphabet_b) if side == "A" else (pres.alphabet_b, pres.alphabet_a)
+            for k, n in RECTANGLES:
+                run = [rng.choice(own).code for _ in range(k)]
+                other = [rng.choice(other_side).code for _ in range(n)]
+                rows_other = list(other)
+                expected = [_push_through(pres._rows[c], rows_other) for c in run]
+                assert list(_push_run(pres, run, other)) == expected, (pres, side, k, n)
+                assert other == rows_other, (pres, side, k, n)
+
+
+def long_run_word(rng, pres, blocks):
+    """Blocks of (side, length), each a freely reduced run of that side's
+    letters, so every run keeps its length in the part it joins."""
+    word = ()
+    for side, length in blocks:
+        word += rand_reduced(rng, pres, length, side)
+    return word
+
+
+def test_long_runs_take_the_push_and_match_dict_reference(table_zoo, monkeypatch):
+    rng = random.Random(51)
+    pushes = []
+
+    def counting(pres, run, other):
+        pushes.append((len(run), len(other)))
+        return _push_run(pres, run, other)
+
+    monkeypatch.setattr(quatlat.rewrite, "_push_run", counting)
+    for pres in table_zoo:
+        for blocks in (
+            [("B", T), ("A", T)],
+            [("A", T + 3), ("B", T + 20), ("A", 2 * T), ("B", 5), ("A", T)],
+            [("B", 2 * T), ("A", T - 1), ("A", 1), ("B", T), ("A", 3)],
+            [("A", 1), ("B", T - 1), ("A", 3 * T)],
+        ):
+            word = long_run_word(rng, pres, blocks)
+            for order in ("AB", "BA"):
+                nf = normal_form(pres, word, order)
+                assert (nf.a_part, nf.b_part) == reference_normal_form(pres, word, order), (pres, blocks, order)
+    assert pushes and all(k >= T and n >= T for k, n in pushes)
+    assert any(k > n for k, n in pushes) and any(k < n for k, n in pushes)
+
+
+def test_alphabets_past_one_byte_keep_the_row_loop(monkeypatch):
+    """At q = 17 there are 18 * 18 letter pairs, too many to code a swap
+    in one byte, so long runs keep the row loop."""
+    pres = build_square_table(LatticeParams.make(17, 1, 3, 5))
+    assert len(pres.alphabet_a) * len(pres.alphabet_b) > 256
+
+    def refuse(*args):
+        raise AssertionError("the anti-diagonal push was reached")
+
+    monkeypatch.setattr(quatlat.rewrite, "_push_run", refuse)
+    word = long_run_word(random.Random(52), pres, [("B", T + 4), ("A", T + 4), ("B", 2), ("A", 2 * T)])
+    for order in ("AB", "BA"):
+        nf = normal_form(pres, word, order)
+        assert (nf.a_part, nf.b_part) == reference_normal_form(pres, word, order)
+
+
+def test_letters_outside_a_pushed_run_go_through_append_letter(g3, monkeypatch):
+    """The benchmark's tracer wraps the module binding append_letter; every
+    letter outside the pushed run still passes through it, once."""
+    calls = []
+    original = quatlat.rewrite.append_letter
+
+    def counting(pres, a_part, b_part, g, order="AB"):
+        calls.append(g)
+        return original(pres, a_part, b_part, g, order)
+
+    monkeypatch.setattr(quatlat.rewrite, "append_letter", counting)
+    n = 2 * T
+    a, x, b = (g3.label(t) for t in "axb")
+    word = (a,) * n + (x,) * n + (g3.inverse[b],) * n + (x,) * n
+    assert is_identity(g3, word) == PowerDiagonal(9, 4).contains((n,) * 4)
+    assert calls == list(word[: 2 * n] + word[3 * n :])
