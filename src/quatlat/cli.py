@@ -141,15 +141,7 @@ def _spec_from_args(pres, args) -> parikh.BoundedLanguageSpec:
 
 
 def cmd_construct(args) -> int:
-    pres = _load_lattice(args.lattice)
-    data = pres.to_json()
-    data["table"] = [
-        {"a": a.to_json(), "b": b.to_json(), "b2": b2.to_json(), "a2": a2.to_json()}
-        for (a, b), (b2, a2) in sorted(
-            pres.swap.items(), key=lambda kv: (kv[0][0].token(), kv[0][1].token())
-        )
-    ]
-    _dump(data, args.out)
+    _dump(_load_lattice(args.lattice).to_json(), args.out)
     return 0
 
 

@@ -47,8 +47,8 @@ class GenLabel:
 
     `code` is the letter's position in its presentation's
     alphabet_a + alphabet_b, set once when that presentation is built;
-    the rewriting core indexes the flat swap tables with it.  Equality
-    and hashing ignore it."""
+    the rewriting core indexes its code rows with it.  Equality and
+    hashing ignore it."""
 
     __slots__ = ("side", "name", "inv", "index", "code", "_hash")
 
@@ -161,9 +161,10 @@ class Square:
         }
 
 
-def _square_readings(inverse: dict, a, b, b2, a2) -> tuple:
+def _square_readings(inverse, a, b, b2, a2) -> tuple:
     """The four swap entries of the square a*b = b2*a2, one per corner it
-    is read from, as (key, value) pairs in reading order 1..4:
+    is read from, as (key, value) pairs in reading order 1..4, on letters
+    with `inverse` a dict or on codes with it a list:
     a*b = b2*a2,  a^-1*b2 = b*a2^-1,  a2*b^-1 = b2^-1*a,
     a2^-1*b2^-1 = b^-1*a^-1."""
     ia, ib, ia2, ib2 = inverse[a], inverse[b], inverse[a2], inverse[b2]
@@ -178,9 +179,9 @@ def _square_readings(inverse: dict, a, b, b2, a2) -> tuple:
 class Presentation:
     """An inverse-closed two-alphabet presentation with a total swap map.
 
-    `swap` is the table as a dict, read by validation, the algebra
-    oracle and JSON.  The rewriting core reads the same table as
-    `_rows`, one list of n + 1 entries per letter code, with n the
+    `swap` is the table as a dict, read by the algebra oracle, the lemma
+    and homomorphism checks, and JSON.  The rewriting core reads the same
+    table as `_rows`, one list of n + 1 entries per letter code, with n the
     number of letters: the row of a letter takes each letter of the other
     side to the pair (row of the pushed letter after the swap, code of
     the other letter after it).  For a*b = b'*a', the B letter b pushed
@@ -188,7 +189,9 @@ class Presentation:
     a' pushed left through b' is `_rows[a'][b'] = (_rows[a], b)`.  The
     last entry of a row is its own letter's code; entries at letters of
     its own side are None.  `_inv_code` is the inverse on codes and
-    `_letters` decodes them."""
+    `_letters` decodes them.  Each inverse and swap entry is checked as
+    it lands, totality by a count, and the other three readings of each
+    of `squares`, met in (token(a), token(b)) order, on codes."""
 
     def __init__(
         self,
@@ -205,60 +208,67 @@ class Presentation:
         self.swap = swap
         self.params = params
         self.name = name
-        letters = self.alphabet_a + self.alphabet_b
+        letters = self._letters = self.alphabet_a + self.alphabet_b
         self.by_token = {l.token(): l for l in letters}
+        self.by_index = {l.index: l for l in letters if l.index is not None}
         self.k_tau = compute_k_tau(params) if params is not None else None
         for code, l in enumerate(letters):
             if l.code not in (None, code):
                 raise ComplexError(f"letter {l} already has code {l.code} in another presentation")
             object.__setattr__(l, "code", code)
-        self._validate()
-        self.squares = self._collect_squares()
-        n = len(letters)
-        self._letters = letters
-        self._inv_code = [inverse[l].code for l in letters]
+        n, na = len(letters), len(self.alphabet_a)
+        # codes by identity, so that an equal letter of another presentation is foreign
+        code_of = {id(l): c for c, l in enumerate(letters)}
+        inv = self._inv_code = []
+        for c, l in enumerate(letters):
+            i = code_of.get(id(inverse.get(l)), -1)
+            if i < 0 or i == c or (i < na) != (c < na) or inverse.get(letters[i]) is not l:
+                raise ComplexError(f"alphabet not fixed-point-freely inverse-paired at {l}")
+            inv.append(i)
         rows = self._rows = [[None] * n + [c] for c in range(n)]
         for (a, b), (b2, a2) in swap.items():
-            rows[b.code][a.code] = (rows[b2.code], a2.code)
-            rows[a2.code][b2.code] = (rows[a.code], b.code)
+            ca, cb, cb2, ca2 = (code_of.get(id(l), -1) for l in (a, b, b2, a2))
+            if not 0 <= ca < na <= cb:
+                raise ComplexError("swap map is not total on the A x B pairs")
+            if cb2 < 0 or ca2 < 0:
+                raise ComplexError(f"swap image of ({a}, {b}) is not in the alphabets")
+            if not ca2 < na <= cb2:
+                raise ComplexError(f"swap image of ({a}, {b}) has wrong sides")
+            if rows[ca2][cb2] is not None:
+                raise ComplexError("swap map is not injective")
+            rows[cb][ca] = (rows[cb2], ca2)
+            rows[ca2][cb2] = (rows[ca], cb)
+        if len(swap) != na * (n - na):
+            raise ComplexError("swap map is not total on the A x B pairs")
+        # The readings of a square's readings are its own readings, so an
+        # entry met as a reading of an earlier square is consistent, and
+        # only the entry a square starts at needs its readings checked.
+        seen, squares = set(), []
+        for a, b in self._token_keys():
+            ca, cb = a.code, b.code
+            if ca * n + cb in seen:
+                continue
+            row, ca2 = rows[cb][ca]
+            cb2 = row[n]
+            readings = _square_readings(inv, ca, cb, cb2, ca2)
+            for k, ((x, y), (y2, x2)) in enumerate(readings[1:], start=2):
+                row, x2_read = rows[y][x]
+                if row is not rows[y2] or x2_read != x2:
+                    raise ComplexError(f"reading {k} inconsistent at ({a}, {b})")
+            seen.update(x * n + y for (x, y), _ in readings)
+            squares.append(Square(a, b, letters[cb2], letters[ca2], commuting=(cb2 == cb and ca2 == ca)))
+        self.squares = tuple(squares)
+
+    def _token_keys(self):
+        """The A x B keys in (token(a), token(b)) order, that of `squares` and the JSON table."""
+        a_order, b_order = (sorted(alphabet, key=GenLabel.token) for alphabet in (self.alphabet_a, self.alphabet_b))
+        return ((a, b) for a in a_order for b in b_order)
 
     @property
     def kind(self) -> str:
         """'parametric' for a lattice built from field data, 'named' for
         one given by its squares."""
         return "named" if self.params is None else "parametric"
-
-    def _validate(self):
-        la, lb = self.alphabet_a, self.alphabet_b
-        for alphabet in (la, lb):
-            for l in alphabet:
-                inv = self.inverse.get(l)
-                if inv is None or inv == l or self.inverse.get(inv) != l:
-                    raise ComplexError(f"alphabet not fixed-point-freely inverse-paired at {l}")
-        pairs = {(a, b) for a in la for b in lb}
-        if set(self.swap) != pairs:
-            raise ComplexError("swap map is not total on the A x B pairs")
-        if len(set(self.swap.values())) != len(self.swap):
-            raise ComplexError("swap map is not injective")
-        for (a, b), (b2, a2) in self.swap.items():
-            if a2.side != "A" or b2.side != "B":
-                raise ComplexError(f"swap image of ({a}, {b}) has wrong sides")
-            readings = _square_readings(self.inverse, a, b, b2, a2)
-            for n, (key, value) in enumerate(readings[1:], start=2):
-                if self.swap[key] != value:
-                    raise ComplexError(f"reading {n} inconsistent at ({a}, {b})")
-
-    def _collect_squares(self):
-        seen = set()
-        squares = []
-        for (a, b), (b2, a2) in sorted(
-            self.swap.items(), key=lambda kv: (kv[0][0].token(), kv[0][1].token())
-        ):
-            if (a, b) in seen:
-                continue
-            seen.update(key for key, _ in _square_readings(self.inverse, a, b, b2, a2))
-            squares.append(Square(a, b, b2, a2, commuting=(b2 == b and a2 == a)))
-        return tuple(squares)
 
     def label(self, token: str) -> GenLabel:
         try:
@@ -269,23 +279,16 @@ class Presentation:
     def invert_word(self, w: Word) -> Word:
         return tuple(self.inverse[g] for g in reversed(w))
 
-    def a_label(self, xi: QuadElem) -> GenLabel:
-        for l in self.alphabet_a:
-            if l.index == xi:
-                return l
-        raise KeyError(f"no A label with index {xi!r}")
-
-    def b_label(self, eta: QuadElem) -> GenLabel:
-        for l in self.alphabet_b:
-            if l.index == eta:
-                return l
-        raise KeyError(f"no B label with index {eta!r}")
-
     def commuting_squares(self):
         return tuple(s for s in self.squares if s.commuting)
 
     def to_json(self) -> dict:
-        data = {
+        """The presentation as `quatlat construct` writes it."""
+        table = []
+        for a, b in self._token_keys():
+            b2, a2 = self.swap[a, b]
+            table.append({"a": a.to_json(), "b": b.to_json(), "b2": b2.to_json(), "a2": a2.to_json()})
+        return {
             "kind": self.kind,
             "name": self.name,
             "params": self.params.to_json() if self.params else None,
@@ -293,8 +296,8 @@ class Presentation:
             "alphabetB": [l.to_json() for l in self.alphabet_b],
             "squares": [s.to_json() for s in self.squares],
             "k_tau": self.k_tau,
+            "table": table,
         }
-        return data
 
     def __repr__(self):
         tag = self.name or (f"q={self.params.field.q}" if self.params else "?")
@@ -363,13 +366,16 @@ def expand_squares(
 
     Squares are 4-tuples of tokens (a, b, b2, a2) meaning a*b = b2*a2.
     """
+    given = [*a_names, *b_names]
+    if len(set(given)) != len(given):
+        raise ComplexError(f"letter names repeat in {given}")
     labels = {}
     for side, names in (("A", a_names), ("B", b_names)):
         for n in names:
             labels[n] = GenLabel(side, n, inv=False)
             labels[f"{n}^-1"] = GenLabel(side, n, inv=True)
     inverse = {}
-    for n in list(a_names) + list(b_names):
+    for n in given:
         inverse[labels[n]] = labels[f"{n}^-1"]
         inverse[labels[f"{n}^-1"]] = labels[n]
     alphabet_a = tuple(labels[t] for n in a_names for t in (n, f"{n}^-1"))
@@ -413,16 +419,10 @@ def oracle_check_table(pres: Presentation) -> dict:
         raise ParameterMismatchError("oracle check needs a parametric lattice")
     algebra = QuatAlgebra(pres.params.ext)
     t = Poly.t(pres.params.field)
-    cache = {}
-
-    def emb(label):
-        if label not in cache:
-            cache[label] = algebra.generator_quat(label.index, t)
-        return cache[label]
-
+    emb = {l: algebra.generator_quat(l.index, t) for l in pres.alphabet_a + pres.alphabet_b}
     failures = []
     for (la, lb), (lb2, la2) in pres.swap.items():
-        if not (emb(la) * emb(lb)).same_class(emb(lb2) * emb(la2)):
+        if not (emb[la] * emb[lb]).same_class(emb[lb2] * emb[la2]):
             failures.append((la.token(), lb.token()))
     return {
         "ok": not failures,
@@ -452,9 +452,9 @@ def phi_k_map(src: Presentation, dst: Presentation, k: int) -> dict:
     scale_inv = scale.inverse()
     mapping = {}
     for l in src.alphabet_a:
-        mapping[l] = (dst.a_label(l.index),) * m
+        mapping[l] = (dst.by_index[l.index],) * m
     for l in src.alphabet_b:
-        mapping[l] = (dst.b_label(l.index * scale_inv),) * m
+        mapping[l] = (dst.by_index[l.index * scale_inv],) * m
     return mapping
 
 
@@ -566,10 +566,10 @@ def gamma3_dictionary(parametric: Presentation, named: Presentation) -> dict:
     parametric generators: a, b, x, y <-> indices 1, -Z, 1+Z, 1-Z."""
     ext = parametric.params.ext
     pairs = {
-        "a": parametric.a_label(ext.element(1)),
-        "b": parametric.a_label(ext.element(0, -1)),
-        "x": parametric.b_label(ext.element(1, 1)),
-        "y": parametric.b_label(ext.element(1, -1)),
+        "a": parametric.by_index[ext.element(1)],
+        "b": parametric.by_index[ext.element(0, -1)],
+        "x": parametric.by_index[ext.element(1, 1)],
+        "y": parametric.by_index[ext.element(1, -1)],
     }
     mapping = {}
     for token, plabel in pairs.items():
@@ -593,32 +593,30 @@ def check_gamma3_dictionary(parametric: Presentation, named: Presentation) -> bo
 
 
 def presentation_from_json(data: dict) -> Presentation:
+    """A presentation as `quatlat construct` writes it, rebuilt from its
+    params, or from a named lattice's letter names and squares, each given
+    at any corner; every field stored must equal the rebuilt one's."""
     kind = data["kind"]
     if kind == "parametric":
-        params = LatticeParams.from_json(data["params"])
-        return build_square_table(params)
-    if kind != "named":
+        pres = build_square_table(LatticeParams.from_json(data["params"]))
+        rebuilt = pres.to_json()
+    elif kind == "named":
+        a_names, b_names = ([l["name"] for l in data[side] if not l["inv"]] for side in ("alphabetA", "alphabetB"))
+        squares = [
+            tuple(f"{sq[k]['name']}^-1" if sq[k]["inv"] else sq[k]["name"] for k in ("a", "b", "b2", "a2"))
+            for sq in data["squares"]
+        ]
+        pres = expand_squares(a_names, b_names, squares, name=data.get("name"))
+        if len(squares) != len(pres.squares):
+            raise ComplexError(f"{len(squares)} squares listed for the {len(pres.squares)} of the complex")
+        rebuilt = pres.to_json()
+        rebuilt["squares"] = [
+            Square(*(pres.by_token[t] for t in sq), commuting=sq[2] == sq[1] and sq[3] == sq[0]).to_json()
+            for sq in squares
+        ]
+    else:
         raise ValueError(f"unknown presentation kind {kind!r}")
-
-    def label_name(entry) -> tuple:
-        return entry["name"], entry["inv"]
-
-    a_names, b_names = [], []
-    for entry in data["alphabetA"]:
-        n, inv = label_name(entry)
-        if not inv and n not in a_names:
-            a_names.append(n)
-    for entry in data["alphabetB"]:
-        n, inv = label_name(entry)
-        if not inv and n not in b_names:
-            b_names.append(n)
-
-    def token(entry) -> str:
-        n, inv = label_name(entry)
-        return f"{n}^-1" if inv else n
-
-    squares = [
-        (token(sq["a"]), token(sq["b"]), token(sq["b2"]), token(sq["a2"]))
-        for sq in data["squares"]
-    ]
-    return expand_squares(a_names, b_names, squares, name=data.get("name"))
+    for key in sorted(data):
+        if key not in rebuilt or data[key] != rebuilt[key]:
+            raise ValueError(f"stored {key!r} differs from the {kind} presentation it describes")
+    return pres

@@ -383,6 +383,8 @@ CONSTRUCT_DIGESTS = {
     "p=5,e=2,c=0:1,tau=0:1": "f495a4b6bec49981ad00a9a897e43c467a2570b73a934b20ee66ef4288ebb2da",
     "p=3,e=3,c=2:0:0,tau=0:1:0": "48f100d34f7b08d13bb06e71a29e0204b83580bc1114b8e80f534d9dd8404f75",
     "p=3,e=4,c=0:1:0:0,tau=0:1:0:0": "1399ab89968e8b1afa6195310ec9012e17e8e26bac5615cc4550d9664bb20159",
+    # q = 121: tokens A100..A121, where string and numeric order part most
+    "p=11,e=2,c=1:1,tau=0:1": "39b2caa936f158597e703188002c08adbff19d7acdb2d8fec8d257f4150ff1c5",
 }
 
 
@@ -480,6 +482,44 @@ def test_bad_lattice_file_names_the_flag(capsys, tmp_path, command, content, nee
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: --lattice {str(path)!r}"), captured.err
     assert needle in captured.err, captured.err
+
+
+def _truncated(data):
+    data["alphabetA"].pop()
+    data["squares"][3:] = []
+    data["table"] = []
+    data["k_tau"] = 7
+
+
+@pytest.mark.parametrize(
+    "lattice,edit,needle",
+    [
+        ("q5", _truncated, "stored 'alphabetA' differs from the parametric presentation"),
+        ("q5", lambda d: d["squares"].pop(), "stored 'squares' differs"),
+        ("q5", lambda d: d.update(k_tau=7), "stored 'k_tau' differs"),
+        ("q5", lambda d: d["table"].reverse(), "stored 'table' differs"),
+        ("q5", lambda d: d.update(note="x"), "stored 'note' differs"),
+        ("gamma3", lambda d: d["squares"][0].update(commuting=True), "stored 'squares' differs from the named"),
+        ("gamma3", lambda d: d["squares"].append(d["squares"][1]), "5 squares listed for the 4 of the complex"),
+        ("gamma3", lambda d: d["alphabetA"].extend(d["alphabetA"][:2]), "letter names repeat in ['a', 'b', 'a',"),
+        ("gamma3", lambda d: d["table"].pop(), "stored 'table' differs"),
+    ],
+    ids=["truncated", "squares", "k_tau", "table-order", "unknown-field",
+         "commuting", "square-twice", "name-twice", "named-table"],
+)
+def test_presentation_files_are_read_strictly(capsys, tmp_path, lattice, edit, needle):
+    """A file that construct wrote reads back to the same presentation; any
+    stored field that differs from the presentation it describes exits 2."""
+    path = tmp_path / "lattice.json"
+    assert run(capsys, "construct", "--lattice", lattice, "--out", str(path)) == (0, "")
+    assert run(capsys, "construct", "--lattice", str(path)) == run(capsys, "construct", "--lattice", lattice)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    edit(data)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["construct", "--lattice", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: --lattice {str(path)!r}: {needle}"), captured.err
 
 
 @pytest.mark.parametrize(

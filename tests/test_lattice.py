@@ -384,6 +384,63 @@ def test_self_paired_alphabet_rejected():
         )
 
 
+@pytest.fixture(scope="module")
+def torus():
+    """The commuting torus over A = {a, b}, B = {x}."""
+    return expand_squares(["a", "b"], ["x"], [("a", "x", "x", "a"), ("b", "x", "x", "b")], name="torus")
+
+
+_FOREIGN = GenLabel("A", "f")  # a letter of no presentation
+
+
+def _exchanged(t1, t2):
+    """An edit that exchanges the values at two keys, given as token pairs."""
+    return lambda swap, key: {**swap, key(*t1): swap[key(*t2)], key(*t2): swap[key(*t1)]}
+
+
+# Each fault of a swap dict as (edit, message): the edit takes the dict
+# and a token-pair-to-key function to a faulty dict.
+_SWAP_FAULTS = {
+    "missing-key": (lambda swap, key: {k: v for k, v in swap.items() if k != key("b", "x")}, "not total"),
+    "foreign-key": (lambda swap, key: {(_FOREIGN, k[1]) if k == key("b", "x") else k: v
+                                       for k, v in swap.items()}, "not total"),
+    "non-injective": (lambda swap, key: {**swap, key("b", "x"): swap[key("a", "x")]}, "not injective"),
+    "wrong-side-image": (lambda swap, key: {**swap, key("b", "x"): swap[key("b", "x")][::-1]},
+                         r"image of \(b, x\) has wrong sides"),
+    "reading-2": (_exchanged(("b^-1", "x"), ("b^-1", "x^-1")), r"reading 2 inconsistent at \(b, x\)"),
+    "reading-3": (_exchanged(("b", "x^-1"), ("b^-1", "x^-1")), r"reading 3 inconsistent at \(b, x\)"),
+    "reading-4": (_exchanged(("a^-1", "x^-1"), ("b", "x")), r"reading 4 inconsistent at \(a, x\)"),
+    "image-outside-alphabets": (lambda swap, key: {**swap, key("b", "x"): (key("b", "x")[1], _FOREIGN)},
+                                r"image of \(b, x\) is not in the alphabets"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_SWAP_FAULTS))
+def test_every_swap_fault_is_a_complex_error(torus, fault):
+    """The swap dict starts from the torus's entries in (token(a), token(b))
+    order, so every check meets the entries in one order and names the
+    same first fault."""
+    swap = {(a, b): torus.swap[a, b] for a in torus.alphabet_a for b in torus.alphabet_b}
+    Presentation(torus.alphabet_a, torus.alphabet_b, torus.inverse, swap)
+    edit, message = _SWAP_FAULTS[fault]
+    swap = edit(swap, lambda ta, tb: (torus.label(ta), torus.label(tb)))
+    with pytest.raises(ComplexError, match=message):
+        Presentation(torus.alphabet_a, torus.alphabet_b, torus.inverse, swap)
+
+
+def test_an_inverse_across_sides_is_a_complex_error(torus):
+    a, ia, x, ix = (torus.label(t) for t in ("a", "a^-1", "x", "x^-1"))
+    inverse = {**torus.inverse, a: x, x: a, ia: ix, ix: ia}
+    with pytest.raises(ComplexError, match=r"inverse-paired at a$"):
+        Presentation(torus.alphabet_a, torus.alphabet_b, inverse, torus.swap)
+
+
+def test_a_letter_keeps_its_code(torus):
+    """A letter has one code: another presentation that puts it elsewhere is refused."""
+    with pytest.raises(ComplexError, match=r"letter b\^-1 already has code 3"):
+        Presentation(torus.alphabet_a[::-1], torus.alphabet_b, torus.inverse, torus.swap)
+
+
 def test_gamma3_dictionary(pres3):
     g3 = named_presentation("gamma3")
     assert check_gamma3_dictionary(pres3, g3)
@@ -400,10 +457,10 @@ def test_finite_lemmas_name_a_corrupted_entry(pres3, kind):
     they were: the index identity it breaks names its entry, and no
     other.  No powers are checked, so the rows are not read."""
     ext = pres3.params.ext
-    a, b = pres3.a_label(ext.element(1)), pres3.b_label(ext.element(2, 1))
+    a, b = pres3.by_index[ext.element(1)], pres3.by_index[ext.element(2, 1)]
     b2, a2 = pres3.swap[(a, b)]
     # (Z, 1+2Z) -> (1+Z, 2Z) = (conj(eta), conj(xi))
-    az, bz = pres3.a_label(ext.gen), pres3.b_label(ext.element(1, 2))
+    az, bz = pres3.by_index[ext.gen], pres3.by_index[ext.element(1, 2)]
     key, value, entry = {
         "eta-mu": ((a, b), (b, a2), (a, b)),  # lam = eta, but mu != xi
         "conj": ((az, bz), (pres3.swap[(az, bz)][0], a), (az, bz)),  # mu = 1, not conj(xi)
@@ -437,9 +494,30 @@ def test_presentation_json_roundtrip(pres3):
     assert param_again.k_tau == pres3.k_tau
 
 
-def test_four_reading_consistency_spotcheck(pres5):
-    inv = pres5.inverse
-    for (a, b), (b2, a2) in pres5.swap.items():
-        assert pres5.swap[(inv[a], b2)] == (b, inv[a2])
-        assert pres5.swap[(a2, inv[b])] == (inv[b2], a)
-        assert pres5.swap[(inv[a2], inv[b2])] == (inv[b], inv[a])
+def test_four_reading_consistency_spotcheck(table_zoo):
+    for pres in table_zoo:
+        inv = pres.inverse
+        for (a, b), (b2, a2) in pres.swap.items():
+            assert pres.swap[(inv[a], b2)] == (b, inv[a2])
+            assert pres.swap[(a2, inv[b])] == (inv[b2], a)
+            assert pres.swap[(inv[a2], inv[b2])] == (inv[b], inv[a])
+
+
+def test_squares_cover_every_entry_once_in_token_order(table_zoo):
+    """Each swap entry is one reading of exactly one square, and each
+    square is listed at its first reading in (token(a), token(b)) order."""
+
+    def token(key):
+        return key[0].token(), key[1].token()
+
+    for pres in table_zoo:
+        inv = pres.inverse
+        covered, firsts = set(), []
+        for s in pres.squares:
+            assert pres.swap[(s.a, s.b)] == (s.b2, s.a2) and s.commuting == (s.b2 == s.b and s.a2 == s.a)
+            keys = {(s.a, s.b), (inv[s.a], s.b2), (s.a2, inv[s.b]), (inv[s.a2], inv[s.b2])}
+            assert len(keys) == 4 and not keys & covered, (pres, s)
+            covered |= keys
+            firsts.append(min(map(token, keys)))
+        assert covered == pres.swap.keys()
+        assert [token((s.a, s.b)) for s in pres.squares] == firsts == sorted(firsts)

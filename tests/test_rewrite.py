@@ -5,7 +5,6 @@ import re
 import pytest
 
 import quatlat.rewrite
-from quatlat.ff import Field, QuadExt, find_nonsquare
 from quatlat.lattice import LatticeParams, build_square_table, named_presentation
 from quatlat.parikh import BoundedLanguageSpec, PowerDiagonal, _directions, _products
 from quatlat.presets import get_presentation
@@ -241,15 +240,6 @@ def test_pi_action_rejects_wrong_sides(g3):
     # sides are read before reduction: a B-word that reduces to e is still a B-word
     with pytest.raises(MixedSidesError):
         pi_action(g3, parse_word(g3, "x,x^-1"), parse_word(g3, "y"))
-
-
-@pytest.fixture(scope="module")
-def table_zoo():
-    """Named lattices, the two parametric presets, and one e=2 table."""
-    field = Field(3, 2)
-    q9 = build_square_table(LatticeParams(QuadExt(field, find_nonsquare(field)), field.element((0, 1))))
-    names = ("gamma3", "gamma4", "gamma32", "q3", "q5")
-    return [get_presentation(name) for name in names] + [q9]
 
 
 def reference_normal_form(pres, w, order):
