@@ -19,9 +19,7 @@ square, never hand-entered.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable, Sequence
 
 from .ff import Field, FieldElem, FieldError, QuadExt, QuadElem, norm_fiber
@@ -212,13 +210,15 @@ class Presentation:
         self.by_token = {l.token(): l for l in letters}
         self.by_index = {l.index: l for l in letters if l.index is not None}
         self.k_tau = compute_k_tau(params) if params is not None else None
+        # codes by identity (an equal letter of another presentation is foreign), stamped once all checks pass
+        code_of = {}
         for code, l in enumerate(letters):
+            if id(l) in code_of:
+                raise ComplexError(f"letter {l} is listed twice in the alphabets")
             if l.code not in (None, code):
                 raise ComplexError(f"letter {l} already has code {l.code} in another presentation")
-            object.__setattr__(l, "code", code)
+            code_of[id(l)] = code
         n, na = len(letters), len(self.alphabet_a)
-        # codes by identity, so that an equal letter of another presentation is foreign
-        code_of = {id(l): c for c, l in enumerate(letters)}
         inv = self._inv_code = []
         for c, l in enumerate(letters):
             i = code_of.get(id(inverse.get(l)), -1)
@@ -245,7 +245,7 @@ class Presentation:
         # only the entry a square starts at needs its readings checked.
         seen, squares = set(), []
         for a, b in self._token_keys():
-            ca, cb = a.code, b.code
+            ca, cb = code_of[id(a)], code_of[id(b)]
             if ca * n + cb in seen:
                 continue
             row, ca2 = rows[cb][ca]
@@ -258,6 +258,8 @@ class Presentation:
             seen.update(x * n + y for (x, y), _ in readings)
             squares.append(Square(a, b, letters[cb2], letters[ca2], commuting=(cb2 == cb and ca2 == ca)))
         self.squares = tuple(squares)
+        for code, l in enumerate(letters):
+            object.__setattr__(l, "code", code)
 
     def _token_keys(self):
         """The A x B keys in (token(a), token(b)) order, that of `squares` and the JSON table."""
@@ -550,14 +552,20 @@ def check_finite_lemmas(pres: Presentation, powers=(1, 2, 3, 4)) -> dict:
 # named lattices
 
 
+# name -> (A names, B names, squares "a b b2 a2" meaning a*b = b2*a2)
+_NAMED = {
+    "gamma3": ("a b", "x y", ("a x x^-1 b", "a y y^-1 b^-1", "a y^-1 x a^-1", "b x y b^-1")),
+    "gamma4": ("a b", "x y", ("a x y b", "a y y^-1 b", "b x x a^-1", "b y x^-1 a")),
+    "gamma32": ("a b c", "x y", ("a x x b", "a y y b", "b x y a", "b y x c", "c x y c", "c y x a")),
+}
 _NAMED_CACHE: dict = {}
 
 
 def named_presentation(name: str) -> Presentation:
-    """The named lattice of a bundled data file, read once."""
+    """The named lattice expanded from its squares in `_NAMED`, built once."""
     if name not in _NAMED_CACHE:
-        text = (resources.files("quatlat") / "data" / f"{name}.json").read_text()
-        _NAMED_CACHE[name] = presentation_from_json(json.loads(text))
+        a_names, b_names, squares = _NAMED[name]
+        _NAMED_CACHE[name] = expand_squares(a_names.split(), b_names.split(), map(str.split, squares), name=name)
     return _NAMED_CACHE[name]
 
 
@@ -594,12 +602,11 @@ def check_gamma3_dictionary(parametric: Presentation, named: Presentation) -> bo
 
 def presentation_from_json(data: dict) -> Presentation:
     """A presentation as `quatlat construct` writes it, rebuilt from its
-    params, or from a named lattice's letter names and squares, each given
-    at any corner; every field stored must equal the rebuilt one's."""
+    params, or from a named lattice's letter names and squares; every
+    field stored must equal the rebuilt one's."""
     kind = data["kind"]
     if kind == "parametric":
         pres = build_square_table(LatticeParams.from_json(data["params"]))
-        rebuilt = pres.to_json()
     elif kind == "named":
         a_names, b_names = ([l["name"] for l in data[side] if not l["inv"]] for side in ("alphabetA", "alphabetB"))
         squares = [
@@ -607,15 +614,9 @@ def presentation_from_json(data: dict) -> Presentation:
             for sq in data["squares"]
         ]
         pres = expand_squares(a_names, b_names, squares, name=data.get("name"))
-        if len(squares) != len(pres.squares):
-            raise ComplexError(f"{len(squares)} squares listed for the {len(pres.squares)} of the complex")
-        rebuilt = pres.to_json()
-        rebuilt["squares"] = [
-            Square(*(pres.by_token[t] for t in sq), commuting=sq[2] == sq[1] and sq[3] == sq[0]).to_json()
-            for sq in squares
-        ]
     else:
         raise ValueError(f"unknown presentation kind {kind!r}")
+    rebuilt = pres.to_json()
     for key in sorted(data):
         if key not in rebuilt or data[key] != rebuilt[key]:
             raise ValueError(f"stored {key!r} differs from the {kind} presentation it describes")

@@ -402,7 +402,6 @@ def growth(obj, n: int) -> int:
 class CompareReport:
     missing: tuple  # expected but not enumerated
     extra: tuple  # enumerated but not expected
-    checked: int
 
     @property
     def ok(self) -> bool:
@@ -417,7 +416,6 @@ def compare(enumerated, expected, n: int) -> CompareReport:
     return CompareReport(
         missing=tuple(sorted(want - got)),
         extra=tuple(sorted(got - want)),
-        checked=len(got | want),
     )
 
 

@@ -1,8 +1,8 @@
 """Bundled lattices, their checked facts, and the reproducible example
 languages.
 
-Presets: the three named lattices (loaded from data files, and cached
-by `lattice.named_presentation`) and the two smallest parametric ones.
+Presets: the three named lattices (expanded from their squares, and
+cached, by `lattice.named_presentation`) and the two smallest parametric ones.
 The power endomorphisms of gamma3 and gamma4 and the gamma3 orbit sizes
 are stated here once, for `quatlat verify` and `quatlat repro` alike.
 Each example language pairs a bounded language over a preset with the

@@ -441,6 +441,26 @@ def test_a_letter_keeps_its_code(torus):
         Presentation(torus.alphabet_a[::-1], torus.alphabet_b, torus.inverse, torus.swap)
 
 
+def test_a_letter_listed_twice_is_refused():
+    a, ia, x, ix = GenLabel("A", "a"), GenLabel("A", "a", inv=True), GenLabel("B", "x"), GenLabel("B", "x", inv=True)
+    with pytest.raises(ComplexError, match=r"^letter a is listed twice in the alphabets$"):
+        Presentation((a, ia, a), (x, ix), {a: ia, ia: a, x: ix, ix: x}, {})
+    assert a.code is None
+
+
+def test_a_refused_presentation_leaves_no_codes():
+    """Codes are stamped only on a presentation that passed every check,
+    so the letters of a refused one can still go into another."""
+    a, ia, x, ix = GenLabel("A", "a"), GenLabel("A", "a", inv=True), GenLabel("B", "x"), GenLabel("B", "x", inv=True)
+    inverse = {a: ia, ia: a, x: ix, ix: x}
+    with pytest.raises(ComplexError, match="not total"):
+        Presentation((a, ia), (x, ix), inverse, {})
+    assert (a.code, ia.code, x.code, ix.code) == (None, None, None, None)
+    squares = {(ia, x): (x, ia), (ia, ix): (ix, ia), (a, x): (x, a), (a, ix): (ix, a)}
+    torus = Presentation((ia, a), (x, ix), inverse, squares)
+    assert [l.code for l in torus.alphabet_a + torus.alphabet_b] == [0, 1, 2, 3]
+
+
 def test_gamma3_dictionary(pres3):
     g3 = named_presentation("gamma3")
     assert check_gamma3_dictionary(pres3, g3)
