@@ -220,8 +220,6 @@ class FieldElem:
     def __eq__(self, other):
         if self is other:
             return True
-        if isinstance(other, int):
-            return self == self.field.element(other)
         if not isinstance(other, FieldElem):
             return NotImplemented
         return self.idx == other.idx and self.field is other.field

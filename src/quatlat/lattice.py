@@ -39,45 +39,22 @@ class ParameterMismatchError(ValueError):
     """Source/target presentations do not fit the requested map."""
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class GenLabel:
     """A generator letter: side 'A' or 'B', a stable name, an inversion
     flag for named lattices, and the fiber index for parametric ones.
 
-    `code` is the letter's position in its presentation's
-    alphabet_a + alphabet_b, set once when that presentation is built;
-    the rewriting core indexes its code rows with it.  Equality and
-    hashing ignore it."""
+    A letter equals only itself, so a letter of one presentation is never
+    read as a letter of another; each presentation numbers its own
+    letters (`Presentation._code`)."""
 
-    __slots__ = ("side", "name", "inv", "index", "code", "_hash")
-
-    def __init__(self, side: str, name: str, inv: bool = False, index: QuadElem | None = None):
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "code", None)
-        object.__setattr__(self, "_hash", hash((side, name, inv)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("GenLabel is immutable")
+    side: str
+    name: str
+    inv: bool = False
+    index: QuadElem | None = None
 
     def token(self) -> str:
         return f"{self.name}^-1" if self.inv else self.name
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, GenLabel):
-            return NotImplemented
-        return (
-            self.side == other.side
-            and self.name == other.name
-            and self.inv == other.inv
-            and self.index == other.index
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def to_json(self) -> dict:
         if self.index is not None:
@@ -180,16 +157,18 @@ class Presentation:
     `swap` is the table as a dict, read by the algebra oracle, the lemma
     and homomorphism checks, and JSON.  The rewriting core reads the same
     table as `_rows`, one list of n + 1 entries per letter code, with n the
-    number of letters: the row of a letter takes each letter of the other
-    side to the pair (row of the pushed letter after the swap, code of
-    the other letter after it).  For a*b = b'*a', the B letter b pushed
-    left through a is `_rows[b][a] = (_rows[b'], a')`, and the A letter
-    a' pushed left through b' is `_rows[a'][b'] = (_rows[a], b)`.  The
-    last entry of a row is its own letter's code; entries at letters of
-    its own side are None.  `_inv_code` is the inverse on codes and
-    `_letters` decodes them.  Each inverse and swap entry is checked as
-    it lands, totality by a count, and the other three readings of each
-    of `squares`, met in (token(a), token(b)) order, on codes."""
+    number of letters.  A letter's code is its position in alphabet_a +
+    alphabet_b: `_code` maps each letter to it, `_letters` decodes it,
+    and `_inv_code` is the inverse on codes.  The row of a letter takes
+    each letter of the other side to the pair (row of the pushed letter
+    after the swap, code of the other letter after it).  For a*b = b'*a',
+    the B letter b pushed left through a is `_rows[b][a] = (_rows[b'],
+    a')`, and the A letter a' pushed left through b' is `_rows[a'][b'] =
+    (_rows[a], b)`.  The last entry of a row is its own letter's code;
+    entries at letters of its own side are None.  Each inverse and swap
+    entry is checked as it lands, totality by a count, and the other
+    three readings of each of `squares`, met in (token(a), token(b))
+    order, on codes."""
 
     def __init__(
         self,
@@ -207,27 +186,26 @@ class Presentation:
         self.params = params
         self.name = name
         letters = self._letters = self.alphabet_a + self.alphabet_b
-        self.by_token = {l.token(): l for l in letters}
+        code_of = self._code = {}
+        by_token = self.by_token = {}
+        for code, l in enumerate(letters):
+            if l in code_of:
+                raise ComplexError(f"letter {l} is listed twice in the alphabets")
+            if by_token.setdefault(l.token(), l) is not l:
+                raise ComplexError(f"two letters have the token {l.token()!r}")
+            code_of[l] = code
         self.by_index = {l.index: l for l in letters if l.index is not None}
         self.k_tau = compute_k_tau(params) if params is not None else None
-        # codes by identity (an equal letter of another presentation is foreign), stamped once all checks pass
-        code_of = {}
-        for code, l in enumerate(letters):
-            if id(l) in code_of:
-                raise ComplexError(f"letter {l} is listed twice in the alphabets")
-            if l.code not in (None, code):
-                raise ComplexError(f"letter {l} already has code {l.code} in another presentation")
-            code_of[id(l)] = code
         n, na = len(letters), len(self.alphabet_a)
         inv = self._inv_code = []
         for c, l in enumerate(letters):
-            i = code_of.get(id(inverse.get(l)), -1)
+            i = code_of.get(inverse.get(l), -1)
             if i < 0 or i == c or (i < na) != (c < na) or inverse.get(letters[i]) is not l:
                 raise ComplexError(f"alphabet not fixed-point-freely inverse-paired at {l}")
             inv.append(i)
         rows = self._rows = [[None] * n + [c] for c in range(n)]
         for (a, b), (b2, a2) in swap.items():
-            ca, cb, cb2, ca2 = (code_of.get(id(l), -1) for l in (a, b, b2, a2))
+            ca, cb, cb2, ca2 = (code_of.get(l, -1) for l in (a, b, b2, a2))
             if not 0 <= ca < na <= cb:
                 raise ComplexError("swap map is not total on the A x B pairs")
             if cb2 < 0 or ca2 < 0:
@@ -245,7 +223,7 @@ class Presentation:
         # only the entry a square starts at needs its readings checked.
         seen, squares = set(), []
         for a, b in self._token_keys():
-            ca, cb = code_of[id(a)], code_of[id(b)]
+            ca, cb = code_of[a], code_of[b]
             if ca * n + cb in seen:
                 continue
             row, ca2 = rows[cb][ca]
@@ -258,8 +236,6 @@ class Presentation:
             seen.update(x * n + y for (x, y), _ in readings)
             squares.append(Square(a, b, letters[cb2], letters[ca2], commuting=(cb2 == cb and ca2 == ca)))
         self.squares = tuple(squares)
-        for code, l in enumerate(letters):
-            object.__setattr__(l, "code", code)
 
     def _token_keys(self):
         """The A x B keys in (token(a), token(b)) order, that of `squares` and the JSON table."""

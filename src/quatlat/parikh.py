@@ -201,7 +201,7 @@ def _grid(pres, spec, bound):
     block, which conjugates its word; a signed one is the union of 16
     unsigned sweeps on inverted letters."""
     shift = int(spec.words[0][0].side == "B")
-    codes = [w[0].code for w in spec.words[shift:] + spec.words[:shift]]
+    codes = [pres._code[w[0]] for w in spec.words[shift:] + spec.words[:shift]]
     inv = pres._inv_code
     points = set()
     for signs in product((1, -1) if spec.signed else (1,), repeat=4):

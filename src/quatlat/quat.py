@@ -152,8 +152,6 @@ class Poly:
             return True
         if isinstance(other, Poly):
             return self.idx == other.idx and self.field == other.field
-        if isinstance(other, (int, FieldElem)):
-            return self == Poly.const(self.field, other)
         return NotImplemented
 
     def __hash__(self):

@@ -17,8 +17,9 @@ automaton is the presentation's row table, one row per letter code: a
 swap is `row, x = row[x]`, with no label hashed or compared on the way
 through.  `pres.swap`, the dict form, stays the source of truth.  Labels
 appear only at the edges: `append_letter` receives the arriving letter
-as a label and rewrites the code lists, and `normal_form` decodes them
-once.
+as a label, looks its code up in the presentation's `_code` and
+rewrites the code lists, and `normal_form` decodes them once.  A letter
+of another presentation has no code there and raises `KeyError`.
 
 A run of same-side letters that must cross the other component is
 pushed through it as a whole when both have at least `_RUN_MIN` = 56
@@ -88,7 +89,7 @@ def append_letter(pres: Presentation, a_part: list, b_part: list, g: GenLabel, o
     """One step of normal-form computation: tack the letter g on the
     right of the element a_part * b_part (order 'AB') or b_part * a_part
     ('BA'), whose parts are lists of letter codes, changed in place."""
-    c = g.code
+    c = pres._code[g]
     own, other = (a_part, b_part) if g.side == "A" else (b_part, a_part)
     if other and g.side != order[1]:  # the other part stands to the right
         c = _push_through(pres._rows[c], other)
@@ -172,7 +173,7 @@ def _parts(pres: Presentation, w: Word, order: str):
                 append_letter(pres, a_part, b_part, g, order)
             done = start
             if len(other) >= _RUN_MIN:
-                for c in _push_run(pres, bytes(g.code for g in islice(w, start, end)), other):
+                for c in _push_run(pres, bytes(map(pres._code.__getitem__, islice(w, start, end))), other):
                     if own and own[-1] == inv[c]:
                         own.pop()
                     else:

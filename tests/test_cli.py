@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -397,6 +400,16 @@ def test_construct_output_is_pinned(capsys, lattice):
     code, out = run(capsys, "construct", "--lattice", lattice)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTRUCT_DIGESTS[lattice]
+
+
+def test_module_entry_point_runs_construct():
+    """`python -m quatlat` runs the same command line as `main`."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "quatlat", "construct", "--lattice", "q3"],
+                          capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == CONSTRUCT_DIGESTS["q3"]
 
 
 # sha256 of stdout, with repro's per-check seconds masked as (X), and the

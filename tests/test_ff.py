@@ -285,7 +285,15 @@ def test_element_keeps_its_vector_view():
     x = field.element((2, 1))
     assert x.idx == 5 and x.coeffs == (2, 1) and x.to_json() == [2, 1]
     assert repr(x) == "2+x" and repr(field.element(7)) == "1"
-    assert field.element(-1) == field.from_index(2) == 2
+    assert field.element(-1) == field.from_index(2) and field.element(-1).idx == 2
+
+
+def test_field_elements_equal_only_field_elements():
+    """F_5's 3 equals F_5's 8 and hashes like it, and equals no int:
+    equal to both 3 and 8, it would make equality intransitive."""
+    three = Field(5).element(3)
+    assert three == Field(5).element(8) and Field(5).element(8) in {three}
+    assert three != 3 and three != 8 and 8 not in {three}
 
 
 @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])

@@ -435,30 +435,48 @@ def test_an_inverse_across_sides_is_a_complex_error(torus):
         Presentation(torus.alphabet_a, torus.alphabet_b, inverse, torus.swap)
 
 
-def test_a_letter_keeps_its_code(torus):
-    """A letter has one code: another presentation that puts it elsewhere is refused."""
-    with pytest.raises(ComplexError, match=r"letter b\^-1 already has code 3"):
-        Presentation(torus.alphabet_a[::-1], torus.alphabet_b, torus.inverse, torus.swap)
+def test_a_letter_may_serve_two_presentations(torus):
+    """Each presentation numbers its own letters: one letter has code 3 in
+    the torus and code 0 in a presentation listing its A letters reversed."""
+    reversed_a = Presentation(torus.alphabet_a[::-1], torus.alphabet_b, torus.inverse, torus.swap)
+    b_inv = torus.label("b^-1")
+    assert reversed_a.label("b^-1") is b_inv
+    assert (torus._code[b_inv], reversed_a._code[b_inv]) == (3, 0)
 
 
 def test_a_letter_listed_twice_is_refused():
     a, ia, x, ix = GenLabel("A", "a"), GenLabel("A", "a", inv=True), GenLabel("B", "x"), GenLabel("B", "x", inv=True)
     with pytest.raises(ComplexError, match=r"^letter a is listed twice in the alphabets$"):
         Presentation((a, ia, a), (x, ix), {a: ia, ia: a, x: ix, ix: x}, {})
-    assert a.code is None
+
+
+def test_two_letters_with_one_token_are_refused():
+    """Two a/a^-1 pairs, each inverse-paired: `by_token` would keep one."""
+    a, ia, a2, ia2 = (GenLabel("A", "a", inv=i) for i in (False, True, False, True))
+    x, ix = GenLabel("B", "x"), GenLabel("B", "x", inv=True)
+    inverse = {a: ia, ia: a, a2: ia2, ia2: a2, x: ix, ix: x}
+    with pytest.raises(ComplexError, match=r"^two letters have the token 'a'$"):
+        Presentation((a, ia, a2, ia2), (x, ix), inverse, {})
+
+
+def test_a_letter_of_another_lattice_is_foreign():
+    """gamma4 has a letter spelled a, but not gamma3's a."""
+    g3, g4 = named_presentation("gamma3"), named_presentation("gamma4")
+    assert g4.label("a") is not g3.label("a") and g4.label("a") != g3.label("a")
+    with pytest.raises(KeyError, match=r"^a$"):
+        g4.inverse[g3.label("a")]
 
 
 def test_a_refused_presentation_leaves_no_codes():
-    """Codes are stamped only on a presentation that passed every check,
-    so the letters of a refused one can still go into another."""
+    """A refused presentation leaves nothing on its letters, so they can
+    still go into another, which numbers them in its own order."""
     a, ia, x, ix = GenLabel("A", "a"), GenLabel("A", "a", inv=True), GenLabel("B", "x"), GenLabel("B", "x", inv=True)
     inverse = {a: ia, ia: a, x: ix, ix: x}
     with pytest.raises(ComplexError, match="not total"):
         Presentation((a, ia), (x, ix), inverse, {})
-    assert (a.code, ia.code, x.code, ix.code) == (None, None, None, None)
     squares = {(ia, x): (x, ia), (ia, ix): (ix, ia), (a, x): (x, a), (a, ix): (ix, a)}
     torus = Presentation((ia, a), (x, ix), inverse, squares)
-    assert [l.code for l in torus.alphabet_a + torus.alphabet_b] == [0, 1, 2, 3]
+    assert [torus._code[l] for l in (ia, a, x, ix)] == [0, 1, 2, 3]
 
 
 def test_gamma3_dictionary(pres3):
@@ -508,9 +526,9 @@ def test_check_finite_lemmas_fast(pres3, pres5):
 def test_presentation_json_roundtrip(pres3):
     named = named_presentation("gamma4")
     again = presentation_from_json(named.to_json())
-    assert again.swap == named.swap
+    assert again.to_json() == named.to_json()
     param_again = presentation_from_json(pres3.to_json())
-    assert param_again.swap == pres3.swap
+    assert param_again.to_json() == pres3.to_json()
     assert param_again.k_tau == pres3.k_tau
 
 

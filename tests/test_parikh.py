@@ -37,6 +37,12 @@ def test_power_diagonal_language(g3):
     assert points == ((0, 0, 0, 0), (1, 1, 1, 1), (9, 9, 9, 9))
 
 
+def test_a_spec_of_another_lattice_is_refused(g3):
+    spec = EXAMPLES["gamma3/a;x;b^-1;x"].spec(g3)
+    with pytest.raises(KeyError, match=r"^a$"):
+        enumerate_parikh(get_presentation("q5"), spec, 10)
+
+
 def test_membership_probes(g3):
     spec = spec_of(g3, "a;x;b^-1;x")
     assert membership(g3, spec, (81, 81, 81, 81))

@@ -70,6 +70,15 @@ def test_poly_power():
         t**-1
 
 
+def test_polys_equal_only_polys():
+    """A constant polynomial hashes apart from its coefficient, so it
+    equals neither that field element nor an int."""
+    field = Field(5)
+    const = Poly.const(field, 3)
+    assert const == Poly.const(field, 8) and Poly.const(field, 8) in {const}
+    assert const != field.element(3) and const != 3 and field.element(3) not in {const}
+
+
 def rand_poly(rng, field, deg):
     return Poly(field, [rng.randrange(field.p) for _ in range(deg + 1)])
 

@@ -36,6 +36,18 @@ def q5():
     return build_square_table(LatticeParams.make(5, 1, 2, 3))
 
 
+@pytest.mark.parametrize("name", ["gamma4", "q5"])
+def test_a_word_of_another_lattice_is_refused(g3, name):
+    """gamma3's identity a x b^-1 x is not read by its letters' positions
+    in another lattice."""
+    w = parse_word(g3, "a,x,b^-1,x")
+    assert is_identity(g3, w)
+    pres = get_presentation(name)
+    for decide in (is_identity, normal_form):
+        with pytest.raises(KeyError, match=r"^a$"):
+            decide(pres, w)
+
+
 def rand_word(rng, pres, length, side=None):
     pool = [l for l in pres.alphabet_a + pres.alphabet_b if side in (None, l.side)]
     return tuple(rng.choice(pool) for _ in range(length))
@@ -267,9 +279,9 @@ def reference_normal_form(pres, w, order):
 def test_swap_rows_match_the_dict(table_zoo):
     for pres in table_zoo:
         letters = pres.alphabet_a + pres.alphabet_b
-        n = len(letters)
-        assert [l.code for l in letters] == list(range(n))
-        assert pres._inv_code == [pres.inverse[l].code for l in letters]
+        n, code = len(letters), pres._code
+        assert [code[l] for l in letters] == list(range(n))
+        assert pres._inv_code == [code[pres.inverse[l]] for l in letters]
         rows = pres._rows
         assert len(rows) == n
         for c in range(n):
@@ -277,10 +289,10 @@ def test_swap_rows_match_the_dict(table_zoo):
         # a*b = b2*a2: b pushed left through a is rows[b][a], a2 pushed
         # left through b2 is rows[a2][b2]
         for (a, b), (b2, a2) in pres.swap.items():
-            assert rows[b.code][a.code][0] is rows[b2.code]
-            assert rows[b.code][a.code][1] == a2.code
-            assert rows[a2.code][b2.code][0] is rows[a.code]
-            assert rows[a2.code][b2.code][1] == b.code
+            assert rows[code[b]][code[a]][0] is rows[code[b2]]
+            assert rows[code[b]][code[a]][1] == code[a2]
+            assert rows[code[a2]][code[b2]][0] is rows[code[a]]
+            assert rows[code[a2]][code[b2]][1] == code[b]
         # the swap dict is total on A x B, so every entry at a letter of
         # the other side is filled and every other entry is empty
         for c in range(n):
@@ -352,8 +364,8 @@ def test_push_run_matches_the_row_loop(table_zoo):
         for side in "AB":
             own, other_side = (pres.alphabet_a, pres.alphabet_b) if side == "A" else (pres.alphabet_b, pres.alphabet_a)
             for k, n in RECTANGLES:
-                run = [rng.choice(own).code for _ in range(k)]
-                other = [rng.choice(other_side).code for _ in range(n)]
+                run = [pres._code[rng.choice(own)] for _ in range(k)]
+                other = [pres._code[rng.choice(other_side)] for _ in range(n)]
                 rows_other = list(other)
                 expected = [_push_through(pres._rows[c], rows_other) for c in run]
                 assert list(_push_run(pres, run, other)) == expected, (pres, side, k, n)
