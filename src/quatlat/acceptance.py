@@ -20,7 +20,6 @@ from .lattice import (
     build_generators,
     build_square_table,
     check_finite_lemmas,
-    check_gamma3_dictionary,
     compute_k_tau,
     letter_map,
     oracle_check_table,
@@ -28,7 +27,8 @@ from .lattice import (
     verify_homomorphism,
 )
 from .parikh import compare, enumerate_parikh, membership
-from .presets import ENDOMORPHISMS, EXAMPLES, first_commuting_language, gamma3_orbits, get_presentation
+from .presets import ENDOMORPHISMS, EXAMPLES, GAMMA3_DICTIONARY, get_presentation
+from .presets import first_commuting_language, gamma3_orbits
 from .quat import QuatAlgebra, gamma3_matrix_relations, verify_power_lemma
 from .rewrite import free_reduce, normal_form, pi_action
 
@@ -49,9 +49,8 @@ def check_construction_fidelity():
     want_b = {ext.element(1, 1), ext.element(1, -1), ext.element(-1, 1), ext.element(-1, -1)}
     ok_sets = set(fiber_a) == want_a and set(fiber_b) == want_b
     pres = build_square_table(params)
-    ok_table = len(pres.swap) == 16 and check_gamma3_dictionary(
-        pres, get_presentation("gamma3")
-    )
+    g3 = get_presentation("gamma3")
+    ok_table = len(pres.swap) == 16 and verify_homomorphism(g3, pres, letter_map(g3, pres, GAMMA3_DICTIONARY))["ok"]
     ok = ok_sets and ok_table
     return ok, (
         f"fibers {'match' if ok_sets else 'MISMATCH'}; "

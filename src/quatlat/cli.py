@@ -191,8 +191,9 @@ def _suite_reports(pres: Presentation, args, powers: tuple) -> dict:
             reports["orbits"] = {"ok": o1 == 12 and o2 == 12, "pi_a_x2": o1, "pi_x_a2": o2}
     if suite in ("dict", "all") and pres.kind == "parametric" and pres.params.field.q == 3:
         applicable = True
-        ok = lattice.check_gamma3_dictionary(pres, presets.get_presentation("gamma3"))
-        reports["dict"] = {"ok": ok}
+        g3 = presets.get_presentation("gamma3")
+        mapping = lattice.letter_map(g3, pres, presets.GAMMA3_DICTIONARY)
+        reports["dict"] = {"ok": lattice.verify_homomorphism(g3, pres, mapping)["ok"]}
     if not applicable:
         raise ValueError(f"suite {suite!r} is not applicable to this lattice")
     return reports

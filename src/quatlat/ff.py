@@ -76,8 +76,8 @@ def _smallest_irreducible(p: int, e: int) -> tuple:
 
 
 class Field:
-    """The field F_q with q = p^e, for an odd prime p; one instance per
-    (p, e).
+    """The field F_q with q = p^e <= 1024, for an odd prime p; one
+    instance per (p, e).
 
     `vec[k]` is the coefficient vector of index k; `add[a*q + b]` and
     `mul[a*q + b]` are the indices of a + b and a*b, `neg[a]` of -a and
@@ -92,6 +92,10 @@ class Field:
         field = cls._made.get((p, e))
         if field is not None:
             return field
+        # q <= 1024 keeps each q x q table within 2^20 entries; checked
+        # before the trial divisions, forming p**e only for p, e <= 1024
+        if p > 1 and (p > 1024 or e > 1024 or p**e > 1024):
+            raise FieldError(f"q = {p}^{e} is above 1024, the largest field that is tabulated")
         if not _is_prime(p):
             raise FieldError(f"characteristic {p} is not prime")
         if p == 2:
@@ -150,17 +154,6 @@ class Field:
     def elements(self) -> Iterator["FieldElem"]:
         for k in range(self.q):
             yield FieldElem(self, k)
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Field":
-        """The field of (p, e); a "modulus", if given, must be its modulus."""
-        field = cls(data["p"], data["e"])
-        if "modulus" in data and list(data["modulus"]) != list(field.modulus):
-            raise FieldError(f"modulus {data['modulus']} is not {list(field.modulus)}, the modulus of {field!r}")
-        return field
 
     def __repr__(self):
         return f"Field({self.p}, {self.e})"
@@ -226,9 +219,6 @@ class FieldElem:
 
     def __hash__(self):
         return hash(self.idx)
-
-    def to_json(self) -> list:
-        return list(self.coeffs)
 
     def __repr__(self):
         if self.field.e == 1:
@@ -370,9 +360,6 @@ class QuadElem:
 
     def __hash__(self):
         return hash((self.u, self.v))
-
-    def to_json(self) -> list:
-        return [self.u.to_json(), self.v.to_json()]
 
     def __repr__(self):
         if self.v.is_zero():

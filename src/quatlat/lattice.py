@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ff import Field, FieldElem, FieldError, QuadExt, QuadElem, norm_fiber
+from .ff import Field, FieldElem, FieldError, QuadExt, QuadElem, norm_fiber, sigma_k
 from .quat import Poly, QuatAlgebra
 
 
@@ -55,11 +55,6 @@ class GenLabel:
 
     def token(self) -> str:
         return f"{self.name}^-1" if self.inv else self.name
-
-    def to_json(self) -> dict:
-        if self.index is not None:
-            return {"side": self.side, "index": self.index.to_json()}
-        return {"name": self.name, "inv": self.inv}
 
     def __repr__(self):
         return self.token()
@@ -96,19 +91,6 @@ class LatticeParams:
     def a_norm_target(self) -> FieldElem:
         return -self.c
 
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "c": self.c.to_json(),
-            "tau": self.tau.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LatticeParams":
-        field = Field.from_json(data["field"])
-        ext = QuadExt(field, field.element(data["c"]))
-        return cls(ext, field.element(data["tau"]))
-
     @classmethod
     def make(cls, p: int, e: int, c, tau) -> "LatticeParams":
         field = Field(p, e)
@@ -125,15 +107,6 @@ class Square:
     b2: GenLabel
     a2: GenLabel
     commuting: bool
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a.to_json(),
-            "b": self.b.to_json(),
-            "b2": self.b2.to_json(),
-            "a2": self.a2.to_json(),
-            "commuting": self.commuting,
-        }
 
 
 def _square_readings(inverse, a, b, b2, a2) -> tuple:
@@ -261,20 +234,34 @@ class Presentation:
         return tuple(s for s in self.squares if s.commuting)
 
     def to_json(self) -> dict:
-        """The presentation as `quatlat construct` writes it."""
-        table = []
-        for a, b in self._token_keys():
-            b2, a2 = self.swap[a, b]
-            table.append({"a": a.to_json(), "b": b.to_json(), "b2": b2.to_json(), "a2": a2.to_json()})
+        """The presentation as `quatlat construct` writes it and
+        `presentation_from_json` reads it: field elements as coefficient
+        vectors, a parametric letter as its side and index pair, a named
+        one as its name and inversion flag, and the squares and the table
+        in `_token_keys` order, each with its corners a, b, b2, a2."""
+
+        def letter(l: GenLabel) -> dict:
+            if l.index is None:
+                return {"name": l.name, "inv": l.inv}
+            return {"side": l.side, "index": [list(l.index.u.coeffs), list(l.index.v.coeffs)]}
+
+        def corners(*letters: GenLabel) -> dict:
+            return dict(zip(("a", "b", "b2", "a2"), map(letter, letters)))
+
+        params = self.params
         return {
             "kind": self.kind,
             "name": self.name,
-            "params": self.params.to_json() if self.params else None,
-            "alphabetA": [l.to_json() for l in self.alphabet_a],
-            "alphabetB": [l.to_json() for l in self.alphabet_b],
-            "squares": [s.to_json() for s in self.squares],
+            "params": None if params is None else {
+                "field": {"p": params.field.p, "e": params.field.e, "modulus": list(params.field.modulus)},
+                "c": list(params.c.coeffs),
+                "tau": list(params.tau.coeffs),
+            },
+            "alphabetA": [letter(l) for l in self.alphabet_a],
+            "alphabetB": [letter(l) for l in self.alphabet_b],
+            "squares": [{**corners(s.a, s.b, s.b2, s.a2), "commuting": s.commuting} for s in self.squares],
             "k_tau": self.k_tau,
-            "table": table,
+            "table": [corners(a, b, *self.swap[a, b]) for a, b in self._token_keys()],
         }
 
     def __repr__(self):
@@ -414,8 +401,9 @@ def phi_k_map(src: Presentation, dst: Presentation, k: int) -> dict:
     p^k-th power of the matching target generator.
 
     src must present the lattice at parameter tau^(p^k) where dst is at
-    tau; A letters map index-identically, B letters through the inverse
-    of the norm-twisted scaling.
+    tau; the target letter of index xi is the image of the source letter
+    of index sigma_k(xi), the norm-twisted scaling, which fixes the A
+    fiber and carries the B fiber at tau onto the one at tau^(p^k).
     """
     if src.kind != "parametric" or dst.kind != "parametric":
         raise ParameterMismatchError("power maps need parametric lattices")
@@ -425,15 +413,7 @@ def phi_k_map(src: Presentation, dst: Presentation, k: int) -> dict:
     m = dp.field.p**k
     if sp.tau != dp.tau**m:
         raise ParameterMismatchError("source tau is not tau^(p^k) of the target")
-    one = dp.field.one
-    scale = (dp.tau / (dp.tau - one)) ** ((m - 1) // 2)
-    scale_inv = scale.inverse()
-    mapping = {}
-    for l in src.alphabet_a:
-        mapping[l] = (dst.by_index[l.index],) * m
-    for l in src.alphabet_b:
-        mapping[l] = (dst.by_index[l.index * scale_inv],) * m
-    return mapping
+    return {src.by_index[sigma_k(dp.ext, l.index, k)]: (l,) * m for l in dst.alphabet_a + dst.alphabet_b}
 
 
 def letter_map(src: Presentation, dst: Presentation, images: dict) -> dict:
@@ -545,33 +525,6 @@ def named_presentation(name: str) -> Presentation:
     return _NAMED_CACHE[name]
 
 
-def gamma3_dictionary(parametric: Presentation, named: Presentation) -> dict:
-    """The fixed identification of the abstract q=3 letters with the
-    parametric generators: a, b, x, y <-> indices 1, -Z, 1+Z, 1-Z."""
-    ext = parametric.params.ext
-    pairs = {
-        "a": parametric.by_index[ext.element(1)],
-        "b": parametric.by_index[ext.element(0, -1)],
-        "x": parametric.by_index[ext.element(1, 1)],
-        "y": parametric.by_index[ext.element(1, -1)],
-    }
-    mapping = {}
-    for token, plabel in pairs.items():
-        nlabel = named.label(token)
-        mapping[nlabel] = plabel
-        mapping[named.inverse[nlabel]] = parametric.inverse[plabel]
-    return mapping
-
-
-def check_gamma3_dictionary(parametric: Presentation, named: Presentation) -> bool:
-    """The dictionary must carry every named swap entry to a parametric one."""
-    d = gamma3_dictionary(parametric, named)
-    for (la, lb), (lb2, la2) in named.swap.items():
-        if parametric.swap[(d[la], d[lb])] != (d[lb2], d[la2]):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # JSON
 
@@ -579,10 +532,15 @@ def check_gamma3_dictionary(parametric: Presentation, named: Presentation) -> bo
 def presentation_from_json(data: dict) -> Presentation:
     """A presentation as `quatlat construct` writes it, rebuilt from its
     params, or from a named lattice's letter names and squares; every
-    field stored must equal the rebuilt one's."""
+    field stored must equal the rebuilt one's, and a file that bears the
+    name of a named lattice must hold that lattice."""
     kind = data["kind"]
     if kind == "parametric":
-        pres = build_square_table(LatticeParams.from_json(data["params"]))
+        params, given = data["params"], data["params"]["field"]
+        field = Field(given["p"], given["e"])
+        if given["modulus"] != list(field.modulus):
+            raise FieldError(f"modulus {given['modulus']} is not {list(field.modulus)}, the modulus of {field!r}")
+        pres = build_square_table(LatticeParams.make(field.p, field.e, params["c"], params["tau"]))
     elif kind == "named":
         a_names, b_names = ([l["name"] for l in data[side] if not l["inv"]] for side in ("alphabetA", "alphabetB"))
         squares = [
@@ -596,4 +554,6 @@ def presentation_from_json(data: dict) -> Presentation:
     for key in sorted(data):
         if key not in rebuilt or data[key] != rebuilt[key]:
             raise ValueError(f"stored {key!r} differs from the {kind} presentation it describes")
+    if kind == "named" and pres.name in _NAMED and rebuilt != named_presentation(pres.name).to_json():
+        raise ValueError(f"the named lattice {pres.name!r} has other letters or squares")
     return pres

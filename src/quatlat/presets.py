@@ -3,8 +3,10 @@ languages.
 
 Presets: the three named lattices (expanded from their squares, and
 cached, by `lattice.named_presentation`) and the two smallest parametric ones.
-The power endomorphisms of gamma3 and gamma4 and the gamma3 orbit sizes
-are stated here once, for `quatlat verify` and `quatlat repro` alike.
+The letter maps, as data for `lattice.letter_map` checked by
+`lattice.verify_homomorphism` (the power endomorphisms of gamma3 and
+gamma4, and the dictionary from gamma3 onto q3), and the gamma3 orbit
+sizes are stated here once, for `quatlat verify` and `quatlat repro` alike.
 Each example language pairs a bounded language over a preset with the
 symbolic set its enumeration must reproduce; `quatlat compare` consumes
 this registry.
@@ -44,6 +46,10 @@ ENDOMORPHISMS = {
     "gamma3": ("cube", {"a": ["a"] * 3, "b": ["b"] * 3, "x": ["x^-1"] * 3, "y": ["y^-1"] * 3}),
     "gamma4": ("fourth_power", {"a": ["a"] * 4, "b": ["b"] * 4, "x": ["x"], "y": ["y"]}),
 }
+
+# The identification of gamma3 with q3: a, b, x, y go to the letters of
+# indices 1, -Z, 1+Z, 1-Z.
+GAMMA3_DICTIONARY = {"a": ["A0"], "b": ["A3"], "x": ["B0"], "y": ["B2"]}
 
 
 def gamma3_orbits(g3: Presentation) -> tuple:

@@ -280,6 +280,19 @@ def test_malformed_coefficient_vectors_name_the_flag(capsys, arg):
 
 
 @pytest.mark.parametrize(
+    "arg", ["p=3,e=30,c=1,tau=2", "p=2305843009213693951,e=1,c=5,tau=2"], ids=["3^30", "2^61-1"]
+)
+def test_fields_too_large_to_tabulate_name_the_flag(arg):
+    """q above 1024 is refused before any table is built or p is trial
+    divided; run in a child process, so that a field that is tabulated
+    after all fails by the timeout and does not hang the suite."""
+    done = run_module("construct", "--lattice", arg)
+    err = done.stderr.decode()
+    assert done.returncode == 2 and done.stdout == b""
+    assert err.startswith(f"error: --lattice {arg!r}: q = ") and "is above 1024" in err, err
+
+
+@pytest.mark.parametrize(
     "flags,needle",
     [
         ([], "--lattice and --words"),
@@ -402,12 +415,16 @@ def test_construct_output_is_pinned(capsys, lattice):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTRUCT_DIGESTS[lattice]
 
 
-def test_module_entry_point_runs_construct():
-    """`python -m quatlat` runs the same command line as `main`."""
+def run_module(*argv):
+    """`python -m quatlat` with argv, in a child process that is given 30 s."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "quatlat", "construct", "--lattice", "q3"],
-                          capture_output=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "quatlat", *argv], capture_output=True, env=env, timeout=30)
+
+
+def test_module_entry_point_runs_construct():
+    """`python -m quatlat` runs the same command line as `main`."""
+    done = run_module("construct", "--lattice", "q3")
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == CONSTRUCT_DIGESTS["q3"]
 
@@ -529,9 +546,10 @@ def _first_square_at_second_corner(data):
         ("gamma3", _first_square_at_second_corner, "stored 'squares' differs from the named"),
         ("gamma3", lambda d: d["alphabetA"].extend(d["alphabetA"][:2]), "letter names repeat in ['a', 'b', 'a',"),
         ("gamma3", lambda d: d["table"].pop(), "stored 'table' differs"),
+        ("gamma4", lambda d: d.update(name="gamma3"), "the named lattice 'gamma3' has other letters or squares"),
     ],
     ids=["truncated", "squares", "k_tau", "table-order", "unknown-field",
-         "commuting", "square-twice", "other-corner", "name-twice", "named-table"],
+         "commuting", "square-twice", "other-corner", "name-twice", "named-table", "borrowed-name"],
 )
 def test_presentation_files_are_read_strictly(capsys, tmp_path, lattice, edit, needle):
     """A file that construct wrote reads back to the same presentation; any
@@ -623,17 +641,19 @@ def test_spec_errors_name_their_flag(capsys, extra, needle):
 
 def test_lattice_file_with_another_modulus_names_the_flag(capsys, tmp_path):
     """F_9 has one modulus, x^2 + 1; a file naming x^2 + x + 2 would read
-    its c and tau as other elements, so it is refused."""
+    its c and tau as other elements, and x^2 + x + 1 = (x + 2)^2 is not
+    irreducible, so both are refused."""
     path = tmp_path / "q9.json"
     assert run(capsys, "construct", "--lattice", "p=3,e=2,c=1:1,tau=0:1", "--out", str(path)) == (0, "")
     data = json.loads(path.read_text(encoding="utf-8"))
     assert data["params"]["field"]["modulus"] == [1, 0, 1]
-    data["params"]["field"]["modulus"] = [2, 1, 1]
-    path.write_text(json.dumps(data), encoding="utf-8")
-    code = main(["verify", "--lattice", str(path), "--suite", "oracle"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith(f"error: --lattice {str(path)!r}: modulus [2, 1, 1]"), captured.err
+    for modulus in ([2, 1, 1], [1, 1, 1]):
+        data["params"]["field"]["modulus"] = modulus
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["verify", "--lattice", str(path), "--suite", "oracle"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: --lattice {str(path)!r}: modulus {modulus}"), captured.err
 
 
 @pytest.mark.parametrize("key,value", [("e", True), ("p", 3.0)], ids=["e-true", "p-float"])

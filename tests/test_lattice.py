@@ -12,10 +12,8 @@ from quatlat.lattice import (
     build_generators,
     build_square_table,
     check_finite_lemmas,
-    check_gamma3_dictionary,
     compute_k_tau,
     expand_squares,
-    gamma3_dictionary,
     letter_map,
     named_presentation,
     oracle_check_table,
@@ -24,6 +22,7 @@ from quatlat.lattice import (
     solve_square,
     verify_homomorphism,
 )
+from quatlat.presets import GAMMA3_DICTIONARY
 from quatlat.quat import Poly, QuatAlgebra
 
 
@@ -227,7 +226,6 @@ def test_oracle_catches_corruption(pres3):
     broken = _altered(pres3, swap={**pres3.swap, k1: v2, k2: v1})
     rep = oracle_check_table(broken)
     assert not rep["ok"] and rep["failures"]
-    assert not check_gamma3_dictionary(broken, named_presentation("gamma3"))
 
 
 @pytest.mark.parametrize("p,e", [(7, 1), (3, 2)], ids=["q=7", "q=9"])
@@ -300,13 +298,15 @@ def test_homomorphism_check_reports_a_broken_inverse(pres3):
 
 
 def test_phi_1_cross_lattice_q9():
-    field = Field(3, 2)
-    ext = QuadExt(field, find_nonsquare(field))
-    tau = field.element((0, 1))
-    dst = build_square_table(LatticeParams(ext, tau))
-    src = build_square_table(LatticeParams(ext, tau**3))
-    mapping = phi_k_map(src, dst, 1)
-    assert verify_homomorphism(src, dst, mapping)["ok"]
+    """phi_k from the lattice at tau^(p^k) to the one at tau = x: q=9 at
+    k = 1 and 2, and q=25 and q=27 at k = 1."""
+    for p, e, k in ((3, 2, 1), (3, 2, 2), (5, 2, 1), (3, 3, 1)):
+        field = Field(p, e)
+        ext = QuadExt(field, find_nonsquare(field))
+        tau = field.element((0, 1))
+        dst = build_square_table(LatticeParams(ext, tau))
+        src = build_square_table(LatticeParams(ext, tau ** (p**k)))
+        assert verify_homomorphism(src, dst, phi_k_map(src, dst, k))["ok"], (p, e, k)
 
 
 def test_phi_k_parameter_mismatch(pres3, pres5):
@@ -480,13 +480,16 @@ def test_a_refused_presentation_leaves_no_codes():
 
 
 def test_gamma3_dictionary(pres3):
-    g3 = named_presentation("gamma3")
-    assert check_gamma3_dictionary(pres3, g3)
-    d = gamma3_dictionary(pres3, g3)
-    assert len(d) == 8
-    # the dictionary respects inversion
-    for named_label, plabel in d.items():
-        assert d[g3.inverse[named_label]] == pres3.inverse[plabel]
+    """The dictionary maps gamma3 homomorphically onto q3, sending a, b,
+    x, y to the letters of indices 1, -Z, 1+Z, 1-Z; with the images of x
+    and y swapped it is refused."""
+    g3, ext = named_presentation("gamma3"), pres3.params.ext
+    mapping = letter_map(g3, pres3, GAMMA3_DICTIONARY)
+    assert verify_homomorphism(g3, pres3, mapping)["ok"]
+    indices = [ext.element(1), ext.element(0, -1), ext.element(1, 1), ext.element(1, -1)]
+    assert [mapping[g3.label(t)] for t in "abxy"] == [(pres3.by_index[xi],) for xi in indices]
+    swapped = {**GAMMA3_DICTIONARY, "x": GAMMA3_DICTIONARY["y"], "y": GAMMA3_DICTIONARY["x"]}
+    assert not verify_homomorphism(g3, pres3, letter_map(g3, pres3, swapped))["ok"]
 
 
 @pytest.mark.parametrize("kind", ["eta-mu", "conj", "chain"])

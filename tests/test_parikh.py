@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quatlat.lattice import named_presentation
+from quatlat.lattice import letter_map, named_presentation
 from quatlat.parikh import (
     BoundedLanguageSpec,
     CompareReport,
@@ -16,7 +16,7 @@ from quatlat.parikh import (
     membership,
     power_diagonal_prediction,
 )
-from quatlat.presets import EXAMPLES, first_commuting_language, get_presentation
+from quatlat.presets import EXAMPLES, GAMMA3_DICTIONARY, first_commuting_language, get_presentation
 from quatlat.rewrite import parse_word
 
 
@@ -490,13 +490,11 @@ def test_enumerated_points_pass_membership(g3):
 def test_named_and_parametric_enumerations_agree(g3):
     """The letter dictionary carries the abstract presentation onto the
     parametric one; Parikh images computed on either side must agree."""
-    from quatlat.lattice import gamma3_dictionary
-
     q3 = get_presentation("q3")
-    d = gamma3_dictionary(q3, g3)
+    d = letter_map(g3, q3, GAMMA3_DICTIONARY)
     for words, signed in (("a;x;b^-1;x", False), ("a;x;b;x", True), ("b;y;a^-1;x^-1", False)):
         named_blocks = tuple(parse_word(g3, w) for w in words.split(";"))
-        param_blocks = tuple(tuple(d[l] for l in w) for w in named_blocks)
+        param_blocks = tuple(sum((d[l] for l in w), ()) for w in named_blocks)
         got_named = enumerate_parikh(g3, BoundedLanguageSpec(named_blocks, signed=signed), 7)
         got_param = enumerate_parikh(q3, BoundedLanguageSpec(param_blocks, signed=signed), 7)
         assert got_named == got_param, words

@@ -1,8 +1,10 @@
 """The runtime stays standard-library only: every import in the package
-is relative or names a standard-library module."""
+is relative or names a standard-library module.  And the package parses
+as the oldest Python that pyproject.toml declares."""
 
 import ast
 import pathlib
+import re
 import sys
 
 import quatlat
@@ -22,3 +24,13 @@ def test_imports_are_relative_or_standard_library():
                 continue
             foreign += [(path.name, n) for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert not foreign
+
+
+def test_sources_parse_as_the_declared_python_floor():
+    root = pathlib.Path(quatlat.__file__).parent
+    pyproject = (root.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    sources = sorted(root.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=floor)
