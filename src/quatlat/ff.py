@@ -12,10 +12,13 @@ coefficients), and x for e = 1.  So there is one field per (p, e):
 `QuadExt(field, c)` does per (field, c).
 
 Each field builds flat q x q tables `add` and `mul` (entry a*q + b) and
-q-entry tables `neg` and `inv`; every operation is a lookup.  `mul` is
-filled by Horner on indices: for a = a0 + p*a' with a0 constant, row a
-is a0*b + x*(a'*b), read from rows a0 and a' through `add` and the map
-v -> x*v.  FieldElem wraps (field, index) for the public API.
+q-entry tables `neg` and `inv`; every operation is a lookup.  `add` is
+filled by digits: for a = a0 + p*a', row a is p*(a' + b') + (a0 + b0)
+mod p, from the table of e - 1 digits.  `mul` is filled by Horner on
+indices: with a0 constant, row a is a0*b + x*(a'*b), read from rows a0
+and a' through `add` and the map v -> x*v.  `neg` and `inv` are where
+each row of `add` and `mul` holds 0 and 1.  FieldElem wraps (field,
+index) for the public API.
 
 Extension elements u + vZ are pairs of F_q elements; their product and
 norm N(u + vZ) = u^2 - c*v^2 (= x * conj(x) = x^(q+1)) run on index
@@ -24,6 +27,8 @@ pairs (see _quad_ops).  Every value is immutable and hashable.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import getitem
 from typing import Iterator
 
 
@@ -113,24 +118,24 @@ class Field:
     def _tables(self):
         p, q, m = self.p, self.q, self.modulus
         vec = tuple(_digits(k, p, self.e) for k in range(q))
+        # a + b by digits: for a = a0 + p*a' it is p*(a' + b') + (a0 + b0) mod p
+        digit = [list(range(a, p)) + list(range(a)) for a in range(p)]
+        sums = digit
+        while len(sums) < q:
+            sums = [[p * h + l for h in hi for l in lo] for hi in sums for lo in digit]
         index = {v: k for k, v in enumerate(vec)}
-        add = tuple(index[tuple((x + y) % p for x, y in zip(a, b))] for a in vec for b in vec)
-        neg = tuple(index[tuple((-c) % p for c in a)] for a in vec)
         # x*v: shift up one degree, then replace x^e by -(m(x) - x^e)
         times_x = tuple(index[tuple((s - v[-1] * c) % p for s, c in zip((0,) + v[:-1], m))] for v in vec)
-        rows = [(0,) * q]
-        for a in range(1, q):
+        rows = [[0] * q]
+        for a in range(1, q):  # each entry is sums[r][s], looked up in C, for r and s as below
             if a < p:  # a constant: row a-1 plus b
-                row = tuple(add[r * q + b] for b, r in enumerate(rows[a - 1]))
+                row = map(getitem, map(sums.__getitem__, rows[a - 1]), range(q))
             else:  # a0*b + x*(a'*b)
-                row = tuple(add[lo * q + times_x[hi]] for lo, hi in zip(rows[a % p], rows[a // p]))
-            rows.append(row)
-        mul = tuple(k for row in rows for k in row)
-        inv = [None] * q
-        for k, v in enumerate(mul):
-            if v == 1:
-                inv[k // q] = k % q
-        return vec, add, mul, neg, tuple(inv)
+                row = map(getitem, map(sums.__getitem__, rows[a % p]), map(times_x.__getitem__, rows[a // p]))
+            rows.append(list(row))
+        neg = tuple(row.index(0) for row in sums)
+        inv = (None,) + tuple(row.index(1) for row in rows[1:])
+        return vec, tuple(chain.from_iterable(sums)), tuple(chain.from_iterable(rows)), neg, inv
 
     def element(self, value) -> "FieldElem":
         """Coerce an int (constant embedding) or a coefficient vector."""
@@ -269,7 +274,8 @@ def _quad_ops(field: Field, c: int):
 class QuadExt:
     """The quadratic extension F_q[Z] of a field, with Z^2 = c non-square;
     one instance per (field, c).  `_fibers` caches the norm fibers by
-    the index of their norm."""
+    the index of their norm, `_scales` the scales of `sigma_k` by (k,
+    norm index)."""
 
     _made: dict = {}
 
@@ -286,7 +292,7 @@ class QuadExt:
         ext.one = QuadElem(ext, field.one, field.zero)
         ext.gen = QuadElem(ext, field.zero, field.one)  # the element Z
         ext._times, ext._norm = _quad_ops(field, c.idx)
-        ext._fibers = {}
+        ext._fibers, ext._scales = {}, {}
         return cls._made.setdefault((field, c.idx), ext)
 
     def element(self, u, v=0) -> "QuadElem":
@@ -384,11 +390,17 @@ def norm_fiber(ext: QuadExt, s) -> tuple:
 def sigma_k(ext: QuadExt, xi: QuadElem, k: int) -> QuadElem:
     """The norm-twisted scaling (-c)^((1-p^k)/2) * N(xi)^((p^k-1)/2) * xi.
 
-    The negative exponent of (-c) is taken via the field inverse.
+    The negative exponent of (-c) is taken via the field inverse.  The
+    scale depends on xi only through its norm, so each (k, N(xi)) scale
+    is found once and kept on the extension.
     """
     if k < 1:
         raise FieldError("k must be >= 1")
-    m = ext.field.p**k
-    exp = (m - 1) // 2
-    scale = ((-ext.c) ** exp).inverse() * xi.norm() ** exp
-    return xi * scale
+    u, v = xi.u.idx, xi.v.idx
+    norm = ext._norm(u, v)
+    scale = ext._scales.get((k, norm))
+    if scale is None:
+        exp = (ext.field.p**k - 1) // 2
+        twist = ((-ext.c) ** exp).inverse() * FieldElem(ext.field, norm) ** exp
+        scale = ext._scales[k, norm] = twist.idx
+    return ext.pair(*ext._times(u, v, scale, 0))

@@ -9,7 +9,11 @@ machinery to compare against.
 - the meet in the middle, for every other shape: O(N^ceil(d/2)) normal
   forms built with `append_letter`, and a table of O(N^floor(d/2));
 - the brute force (prune=False): all O(N^d) products, the oracle the
-  other two are checked against.
+  other two are checked against.  It appends every letter of every
+  block power at every node of the exponent tree: with D_i directions
+  in block i (2 if signed, else 1), that is
+  sum_i prod_{j<i} (1 + N*D_j) * D_i * N * |w_i| calls of
+  `append_letter`, 2,400 for gamma4 b;x;a;x^-1 at N = 6.
 
 The grid.  Take a^i b^j c^k d^l with a, c in A and b, d in B.  The
 lattice acts simply transitively on the vertices of a product of two
@@ -19,14 +23,15 @@ a^i b^j = d^-l c^-k forces i = k and j = l.  The AB form of
 Count the columns of the B-word from its right end: a push through
 column l reads only columns 1..l, so the tiling for (t, l) is the corner
 of the tiling of (d^-1)^N by N pushes.  One sweep of that tiling, read
-from `pres._rows` as `append_letter` reads it, finds every point:
-(t, l, t, l) is one when column l has emitted the letter a in each of
-the t pushes and the first l cells of row t are all b.  The axes t = 0
-and l = 0 are the cases d^-1 = b and c^-1 = a.  Columns that have
-emitted anything but a are dropped, so the sweep stops when none is
-left.  A B,A,B,A spec is rotated by one block, which conjugates its
+from `pres._rows` as `append_letter` reads it, returns every pair
+(t, l) whose (t, l, t, l) is a point: column l has emitted the letter a
+in each of the t pushes and the first l cells of row t are all b.  The
+axes t = 0 and l = 0 are the cases d^-1 = b and c^-1 = a.  Columns that
+have emitted anything but a are dropped, so the sweep stops when none
+is left.  A B,A,B,A spec is rotated by one block, which conjugates its
 word and so keeps whether it is the identity; a signed spec is the union
-of 16 unsigned sweeps on inverted letters.
+of 16 unsigned sweeps on inverted letters.  Each pair becomes its point
+in one tuple, with the signs and the rotation applied at once.
 
 The meet in the middle.  w1^e1 ... wd^ed is the identity exactly when
 the prefix w1^e1 ... wh^eh equals the inverted suffix
@@ -36,9 +41,18 @@ form against its exponents, then walks every prefix and looks its form
 up; each hit is a point.  For d = 1 the suffix is empty and the table
 holds only the empty form.
 
-The walks carry the parts as lists of letter codes, which
-`append_letter` changes in place; each branch copies its parent's lists
-once.  The table is one dict keyed by a `str` with one character per
+The walk (`_products`) is one generator frame over the tree of exponent
+prefixes, kept as a stack of nodes, so a leaf costs one yield whatever
+d is.  It carries the parts as lists of letter codes, which
+`append_letter` changes in place.  A node of an inner block hands its
+parts to its exponent-0 child as they are and to every other child as a
+copy, made once; a node of the last block yields its leaves from one
+list pair per direction, so the stack holds O(d*N) part lists.  A leaf
+comes with its exponents as its node's head tuple and a one-tuple for
+the last block: the suffix walk joins them for every leaf it tables,
+the prefix walk and the brute force only for a hit.
+
+The table is one dict keyed by a `str` with one character per
 code of a_part + b_part.  A-codes come before B-codes, so a key fixes
 the split, and it hashes in C.  A str stores one byte a character while
 the alphabet has at most 256 letters and two up to 65536, so the keys
@@ -111,25 +125,43 @@ class BoundedLanguageSpec:
         return tuple(exps)
 
 
-def _products(pres, blocks, bound, u=None, v=None, exps=()):
-    """Yield (a_part, b_part, exps) for every exponent tuple over
-    `blocks`, each a list of (word, sign) directions: the AB normal form
-    of u * v times the product of the blocks' powers.  The parts are code
-    lists that the walk goes on changing in place, so a yielded pair is
-    valid only until the next one."""
-    if u is None:
-        u, v = [], []
+def _products(pres, blocks, bound):
+    """Yield (a_part, b_part, head, tail) for every exponent tuple
+    head + tail over `blocks`, each a list of (word, sign) directions:
+    the AB normal form of the product of the blocks' powers, with tail
+    the one-tuple of the last block's exponent.  With no blocks the walk
+    yields the empty form once, with head and tail both ().
+
+    The nodes (parts, head) of the tree of exponent prefixes are walked
+    depth first from a stack (see the module docstring).  The parts are
+    code lists that the walk goes on changing in place, so a yielded pair
+    is valid only until the next one."""
     if not blocks:
-        yield u, v, exps
+        yield [], [], (), ()
         return
-    rest = blocks[1:]
-    yield from _products(pres, rest, bound, u, v, exps + (0,))
-    for w, sign in blocks[0]:
-        cu, cv = list(u), list(v)
-        for e in range(1, bound + 1):
-            for g in w:
-                append_letter(pres, cu, cv, g)
-            yield from _products(pres, rest, bound, cu, cv, exps + (sign * e,))
+    depth = len(blocks) - 1
+    zero = (0,)
+    last = [(w, [(sign * e,) for e in range(1, bound + 1)]) for w, sign in blocks[-1]]
+    stack = [([], [], ())]
+    while stack:
+        u, v, head = stack.pop()
+        if len(head) < depth:
+            nodes = [(u, v, head + zero)]
+            for w, sign in blocks[len(head)]:
+                cu, cv = list(u), list(v)
+                for e in range(1, bound + 1):
+                    for g in w:
+                        append_letter(pres, cu, cv, g)
+                    nodes.append((list(cu), list(cv), head + (sign * e,)))
+            stack.extend(reversed(nodes))
+            continue
+        yield u, v, head, zero
+        for w, tails in last:
+            cu, cv = list(u), list(v)
+            for tail in tails:
+                for g in w:
+                    append_letter(pres, cu, cv, g)
+                yield cu, cv, head, tail
 
 
 def _directions(pres, spec):
@@ -156,11 +188,14 @@ def _meet(pres, spec, bound):
     )
     chars = [chr(c) for c in range(len(pres._letters))]  # indexing builds keys faster than chr()
     table = {}
-    for u, v, exps in _products(pres, suffix, bound):
-        table.setdefault(_key(chars, u, v), []).append(exps[::-1])
+    for u, v, head, tail in _products(pres, suffix, bound):
+        table.setdefault(_key(chars, u, v), []).append((head + tail)[::-1])
     out = []
-    for u, v, exps in _products(pres, blocks[:h], bound):
-        out.extend(spec.point_from_exponents(exps + t) for t in table.get(_key(chars, u, v), ()))
+    for u, v, head, tail in _products(pres, blocks[:h], bound):
+        hits = table.get(_key(chars, u, v))
+        if hits:
+            exps = head + tail
+            out.extend(spec.point_from_exponents(exps + t) for t in hits)
     return out
 
 
@@ -171,15 +206,15 @@ def _on_grid(spec):
 
 
 def _sweep(pres, a, b, c, d, bound):
-    """The exponents (t, l, t, l) of a^t b^l c^t d^l = e, for codes a, c
-    of A-letters and b, d of B-letters: push c^-1 t times through
+    """The pairs (t, l) with a^t b^l c^t d^l = e, for codes a, c of
+    A-letters and b, d of B-letters, each once: push c^-1 t times through
     (d^-1)^bound, whose column l is its l-th letter from the right."""
     inv, rows = pres._inv_code, pres._rows
-    points = {(0, 0, 0, 0)}
+    pairs = [(0, 0)]
     if inv[d] == b:
-        points.update((0, l, 0, l) for l in range(1, bound + 1))
+        pairs += [(0, l) for l in range(1, bound + 1)]
     if inv[c] == a:
-        points.update((t, 0, t, 0) for t in range(1, bound + 1))
+        pairs += [(t, 0) for t in range(1, bound + 1)]
     row_a, start = rows[a], rows[inv[c]]
     word = [inv[d]] * bound  # right end first
     alive = list(range(1, bound + 1))  # columns that have emitted only a
@@ -192,23 +227,27 @@ def _sweep(pres, a, b, c, d, bound):
             hit.append(row is row_a)
         alive = [l for l in alive if hit[l - 1]]
         bs = next((l for l, x in enumerate(word) if x != b), len(word))
-        points.update((t, l, t, l) for l in alive if l <= bs)
-    return points
+        pairs += [(t, l) for l in alive if l <= bs]
+    return pairs
 
 
 def _grid(pres, spec, bound):
     """The points of a spec `_on_grid`.  A B,A,B,A spec is rotated by one
-    block, which conjugates its word; a signed one is the union of 16
-    unsigned sweeps on inverted letters."""
+    block, which conjugates its word, so its A-exponent t stands in the
+    odd coordinates; a signed spec is the union of 16 unsigned sweeps on
+    inverted letters."""
     shift = int(spec.words[0][0].side == "B")
-    codes = [pres._code[w[0]] for w in spec.words[shift:] + spec.words[:shift]]
+    codes = [pres._code[w[0]] for w in spec.words]
     inv = pres._inv_code
+    x, y = (1, 0) if shift else (0, 1)  # coordinates 0 and 2 report p[x], 1 and 3 report p[y]
     points = set()
     for signs in product((1, -1) if spec.signed else (1,), repeat=4):
-        sweep = _sweep(pres, *[g if s > 0 else inv[g] for g, s in zip(codes, signs)], bound)
-        for p in sweep:
-            exps = [s * e for s, e in zip(signs, p)]
-            points.add(tuple(exps[4 - shift :] + exps[: 4 - shift]))
+        s0, s1, s2, s3 = signs
+        g = [c if s > 0 else inv[c] for c, s in zip(codes, signs)]
+        pairs = _sweep(pres, *(g[shift:] + g[:shift]), bound)
+        points.update((s0 * p[x], s1 * p[y], s2 * p[x], s3 * p[y]) for p in pairs)
+    if spec.remap is None:
+        return points
     return [spec.point_from_exponents(p) for p in points]
 
 
@@ -230,8 +269,8 @@ def enumerate_parikh(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not prune:
         points = [
-            spec.point_from_exponents(exps)
-            for u, v, exps in _products(pres, _directions(pres, spec), bound)
+            spec.point_from_exponents(head + tail)
+            for u, v, head, tail in _products(pres, _directions(pres, spec), bound)
             if not u and not v
         ]
     elif _on_grid(spec):

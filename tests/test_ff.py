@@ -232,7 +232,7 @@ def _index(field, coeffs):
     return sum(c * field.p**i for i, c in enumerate(coeffs))
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4)])
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (3, 4), (11, 2), (5, 3), (3, 5)])
 def test_tables_match_vector_arithmetic(p, e):
     """Every entry of add, mul, neg and inv, against digit-wise addition
     and the product of residues (e = 1) or of coefficient vectors as

@@ -210,6 +210,42 @@ def test_search_and_normal_form_use_the_module_bindings(monkeypatch, g3):
     assert calls["parikh"] > meet_calls
 
 
+@pytest.mark.parametrize(
+    "lattice,words,signed,bound,calls",
+    [
+        ("gamma4", "b;x;a;x^-1", False, 6, 2400),  # the benchmark's brute-force op
+        ("gamma3", "a,x;b;y^-1,a", True, 3, None),
+    ],
+)
+def test_bruteforce_appends_every_letter_of_every_product(monkeypatch, lattice, words, signed, bound, calls):
+    """The oracle stays unpruned: it calls the module's append_letter
+    sum_i Pi_{j<i}(1 + N * D_j) * D_i * N * |w_i| times, D_i the
+    directions of block i, so every node of the exponent tree appends
+    each letter of each of its powers."""
+    import quatlat.parikh
+
+    pres = get_presentation(lattice)
+    spec = spec_of(pres, words, signed=signed)
+    count = 0
+    original = quatlat.parikh.append_letter
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return original(*args)
+
+    monkeypatch.setattr(quatlat.parikh, "append_letter", counting)
+    enumerate_parikh(pres, spec, bound, prune=False)
+    directions = 2 if signed else 1
+    want, nodes = 0, 1
+    for w in spec.words:
+        want += nodes * directions * bound * len(w)
+        nodes *= 1 + bound * directions
+    assert count == want
+    if calls is not None:
+        assert count == calls
+
+
 def _grid_meet_brute(pres, spec, n, brute_n):
     """The grid's points at n, checked against the meet in the middle at
     n and the brute force at brute_n."""

@@ -331,24 +331,40 @@ def test_power_diagonal_words(g3, n):
 
 @pytest.mark.parametrize(
     "name, words, signed, bound",
-    [("gamma3", "a;x;b^-1;x;a", False, 3), ("gamma3", "a;x;b;x", True, 2), ("q5", "A0;B0,A1;B1^-1", True, 2)],
+    [
+        ("gamma3", "a;x;b^-1;x;a", False, 3),
+        ("gamma3", "a;x;b;x", True, 2),
+        ("q5", "A0;B0,A1;B1^-1", True, 2),
+        ("gamma3", "a", False, 6),
+        ("gamma3", "a,x;b^-1", True, 4),
+        ("gamma3", "a;x;a,a^-1", True, 3),  # the last block reduces to the identity
+        ("gamma3", "a,a^-1;x;b;y", False, 2),  # so does the first
+    ],
 )
 def test_product_walk_yields_unshared_forms(name, words, signed, bound):
     """Each form the meet's walk yields, read before the walk moves on,
     is the dict reference's form of its block product: a branch that
-    shared its lists with another would show a neighbour's letters."""
+    shared its lists with another would show a neighbour's letters.  The
+    walk yields every exponent tuple once, prod(1 + N * D_i) leaves with
+    D_i the directions of block i."""
     pres = get_presentation(name)
     spec = BoundedLanguageSpec(tuple(parse_word(pres, w) for w in words.split(";")), signed=signed)
     letters = pres.alphabet_a + pres.alphabet_b
-    seen = set()
-    for u, v, exps in _products(pres, _directions(pres, spec), bound):
+    seen = []
+    for u, v, head, tail in _products(pres, _directions(pres, spec), bound):
+        exps = head + tail
         word = ()
         for w, e in zip(spec.words, exps):
             word += (w if e >= 0 else pres.invert_word(w)) * abs(e)
         got = (tuple(letters[c] for c in u), tuple(letters[c] for c in v))
         assert got == reference_normal_form(pres, word, "AB"), exps
-        seen.add(exps)
+        seen.append(exps)
     assert len(seen) == ((2 if signed else 1) * bound + 1) ** spec.arity
+    assert set(seen) == set(itertools.product(range(-bound if signed else 0, bound + 1), repeat=spec.arity))
+
+
+def test_product_walk_of_no_blocks_yields_the_empty_form_once():
+    assert list(_products(get_presentation("gamma3"), (), 5)) == [([], [], (), ())]
 
 
 T = _RUN_MIN
