@@ -49,14 +49,17 @@ def _is_prime(n: int) -> bool:
 
 def _power(one, base, n: int):
     """base ** n for n >= 0 by square-and-multiply, starting from `one`;
-    serves every multiplicative type in the package."""
+    serves every multiplicative type in the package.  Once the top bit
+    is used no square is taken, so n.bit_length() - 1 squares and one
+    product per set bit."""
     result = one
-    while n:
+    while True:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
-    return result
+        if not n:
+            return result
+        base = base * base
 
 
 def _digits(k: int, p: int, n: int) -> tuple:

@@ -7,23 +7,27 @@ Polynomials are little-endian tuples of field-element indices with no
 trailing zeros (the zero polynomial is the empty tuple); their
 arithmetic is lookups in the field's add/mul/neg/inv tables, and
 `coeffs` and `lead()` wrap indices as FieldElems for callers.  One
-kernel, `_dot`, sums scaled products of index tuples: the sum or the
-product of two Polys, and each coordinate of a Quat product, is one
-call to it, and only the results are wrapped as Polys.
+kernel, `_dot`, forms sums of scaled products of index tuples, as many
+sums as it is given in one call: the sum or the product of two Polys is
+one call with one sum, and a Quat product is two calls, one for s*x2
+and s*x3 (s = t(t-1)) and one for the four coordinates.  Only the
+results are wrapped as Polys.  One division loop, `_reduce`, serves
+`divmod` and `poly_gcd`, which runs Euclid on index lists.
 
 Quaternion coordinates are polynomials: every generator c*f + xi*F*Z
 has polynomial coordinates once a rational f is cleared of its
 denominator, and the oracle compares products only mod K* = F_q(t)*.
 It does so by 2x2 minors, with no gcd: `Quat.same_class` asks for the
 same zero pattern and x_j*y_i = y_j*x_i for every j, with i the first
-nonzero coordinate.  A `ProjQuat`, the class the power lemma compares,
-is a normalized value with no group operations: the four coordinates
-are divided by their gcd and scaled so the first nonzero one is monic,
-and equality is then structural.  A `RatFun` is a generator parameter
-num/den in normal form (den monic and coprime to num) with no
-arithmetic of its own: generators read its parts, and the power lemma
-builds its g = f^m / (t(t-1))^((m-1)/2) in one construction from f's
-parts.
+nonzero coordinate, and forms the minors of the other nonzero
+coordinates in one kernel call.  A `ProjQuat`, the class the power
+lemma compares, is a normalized value with no group operations: the
+four coordinates are divided by their gcd and scaled so the first
+nonzero one is monic, and equality is then structural.  A `RatFun` is
+a generator parameter num/den in normal form (den monic and coprime to
+num) with no arithmetic of its own: generators read its parts, and the
+power lemma builds its g = f^m / (t(t-1))^((m-1)/2) in one construction
+from f's parts.
 
 The module also carries the fixed 3x3 matrix quadruple over F_3(t)
 whose projective relations match the rank-(2,2) lattice presentation at
@@ -100,7 +104,7 @@ class Poly:
 
     def __add__(self, other):
         ys = _as_poly(self.field, other).idx
-        return Poly._of(self.field, _dot(self.field, ((1, self.idx, (1,)), (1, ys, (1,)))))
+        return Poly._of(self.field, _dot(self.field, [[(1, self.idx, (1,)), (1, ys, (1,))]])[0])
 
     def __sub__(self, other):
         return self + (-_as_poly(self.field, other))
@@ -115,7 +119,7 @@ class Poly:
         if isinstance(other, FieldElem):
             row = field.element(other).idx * q
             return Poly._of(field, [mul[row + k] for k in self.idx])
-        return Poly._of(field, _dot(field, ((1, self.idx, _as_poly(field, other).idx),)))
+        return Poly._of(field, _dot(field, [[(1, self.idx, _as_poly(field, other).idx)]])[0])
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -127,19 +131,9 @@ class Poly:
         other = _as_poly(field, other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        add, mul, neg, q = field.add, field.mul, field.neg, field.q
-        den, rem = other.idx, list(self.idx)
-        dn = len(den) - 1
-        lead_inv = field.inv[den[-1]]
-        quo = [0] * max(len(rem) - dn, 1)
-        for k in range(len(rem) - 1, dn - 1, -1):
-            c = rem[k]
-            if c:
-                f = quo[k - dn] = mul[c * q + lead_inv]
-                row = neg[f] * q
-                for i, d in enumerate(den, k - dn):
-                    rem[i] = add[rem[i] * q + mul[row + d]]
-        return Poly._of(field, quo), Poly._of(field, rem[:dn])
+        rem, quo = list(self.idx), [0] * max(len(self.idx) - other.degree, 1)
+        _reduce(field, rem, other.idx, quo)
+        return Poly._of(field, quo), Poly._of(field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -172,30 +166,43 @@ class Poly:
         return " + ".join(terms)
 
 
-def _dot(field: Field, terms) -> list:
-    """sum k*xs*ys over the (k, xs, ys) of `terms`: k a field index, xs
-    and ys little-endian index sequences.  The product kernel of Poly and
-    Quat; the result is untrimmed."""
+def _dot(field: Field, sums) -> list:
+    """For each sequence of (k, xs, ys) terms in `sums`, the sum of the
+    k*xs*ys: k a field index, xs and ys little-endian index sequences.
+    The one multiply-accumulate loop, of Poly, Quat and Mat3 products
+    and of the class test; one call forms all the sums of one product,
+    each an untrimmed index list grown to its longest nonzero term.
+    Terms with a zero factor, such as those of a generator's zero Z
+    coordinate, are passed over."""
     add, mul, q = field.add, field.mul, field.q
-    out = [0] * max(len(xs) + len(ys) - 1 for _, xs, ys in terms)
-    for k, xs, ys in terms:
-        for i, x in enumerate(xs):
-            if x:
-                row = mul[k * q + x] * q
-                for j, y in enumerate(ys, i):
-                    out[j] = add[out[j] * q + mul[row + y]]
-    return out
+    outs = []
+    for terms in sums:
+        out = []
+        for k, xs, ys in terms:
+            if xs and ys:
+                n = len(xs) + len(ys) - 1 - len(out)
+                if n > 0:
+                    out += [0] * n
+                for i, x in enumerate(xs):
+                    if x:
+                        row = mul[k * q + x] * q
+                        for j, y in enumerate(ys, i):
+                            out[j] = add[out[j] * q + mul[row + y]]
+        outs.append(out)
+    return outs
 
 
 def _proportional(xs, ys) -> bool:
     """True iff the Poly sequences xs and ys are nonzero and proportional
     over F_q(t)*: the same zero pattern, and every minor x_j*y_i - y_j*x_i
-    is zero, with i the first nonzero entry."""
+    is zero, with i the first nonzero entry.  The minor at i and those
+    where both entries are zero vanish, so one `_dot` call forms the
+    others."""
     if [not x for x in xs] != [not y for y in ys] or not any(xs):
         return False
     f = xs[0].field
-    xi, yi = next((x.idx, y.idx) for x, y in zip(xs, ys) if x)
-    return not any(any(_dot(f, ((1, x.idx, yi), (f.neg[1], y.idx, xi)))) for x, y in zip(xs, ys))
+    (xi, yi), *rest = [(x.idx, y.idx) for x, y in zip(xs, ys) if x]
+    return not any(map(any, _dot(f, [((1, xj, yi), (f.neg[1], yj, xi)) for xj, yj in rest])))
 
 
 def _as_poly(field: Field, value) -> Poly:
@@ -208,10 +215,39 @@ def _as_poly(field: Field, value) -> Poly:
     raise TypeError(f"cannot coerce {value!r} to a polynomial")
 
 
+def _reduce(field: Field, rem: list, den, quo=None) -> list:
+    """rem mod den, in place and trimmed, for index lists with den
+    trimmed and nonzero; the quotient's coefficients go into `quo` when
+    it is given.  The one division loop of `divmod` and `poly_gcd`."""
+    add, mul, neg, q = field.add, field.mul, field.neg, field.q
+    dn = len(den) - 1
+    lead_inv = field.inv[den[-1]]
+    for k in range(len(rem) - 1, dn - 1, -1):
+        c = rem[k]
+        if c:
+            f = mul[c * q + lead_inv]
+            if quo is not None:
+                quo[k - dn] = f
+            row = neg[f] * q
+            for i, d in enumerate(den, k - dn):
+                rem[i] = add[rem[i] * q + mul[row + d]]
+    del rem[dn:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """The monic gcd of a and b, 0 when both are 0: Euclid on index
+    lists by remainders alone, with one Poly built at the end."""
+    field = a.field
+    x, y = list(a.idx), list(_as_poly(field, b).idx)
+    while y:
+        x, y = y, _reduce(field, x, y)
+    if x:
+        row = field.inv[x[-1]] * field.q
+        x = [field.mul[row + k] for k in x]
+    return Poly._of(field, x)
 
 
 def _primitive(polys) -> list:
@@ -344,12 +380,14 @@ class Quat:
         c, m1 = algebra.c.idx, f.neg[1]
         mc = f.neg[c]
         s = algebra.s.idx
-        sx2, sx3 = _dot(f, ((1, s, x2),)), _dot(f, ((1, s, x3),))
-        r0 = _dot(f, ((1, x0, y0), (c, x1, y1), (1, sx2, y2), (mc, sx3, y3)))
-        r1 = _dot(f, ((1, x0, y1), (1, x1, y0), (m1, sx2, y3), (1, sx3, y2)))
-        r2 = _dot(f, ((1, x0, y2), (c, x1, y3), (1, x2, y0), (mc, x3, y1)))
-        r3 = _dot(f, ((1, x0, y3), (1, x1, y2), (m1, x2, y1), (1, x3, y0)))
-        return Quat(algebra, tuple(Poly._of(f, r) for r in (r0, r1, r2, r3)))
+        sx2, sx3 = _dot(f, (((1, s, x2),), ((1, s, x3),)))
+        r = _dot(f, (
+            ((1, x0, y0), (c, x1, y1), (1, sx2, y2), (mc, sx3, y3)),
+            ((1, x0, y1), (1, x1, y0), (m1, sx2, y3), (1, sx3, y2)),
+            ((1, x0, y2), (c, x1, y3), (1, x2, y0), (mc, x3, y1)),
+            ((1, x0, y3), (1, x1, y2), (m1, x2, y1), (1, x3, y0)),
+        ))
+        return Quat(algebra, tuple(Poly._of(f, ri) for ri in r))
 
     def conj(self) -> "Quat":
         x0, x1, x2, x3 = self.coords
@@ -458,7 +496,7 @@ class Mat3:
     def __mul__(self, other: "Mat3") -> "Mat3":
         f, cols = self.field, tuple(zip(*other.rows))
         return Mat3(f, [
-            [Poly._of(f, _dot(f, [(1, x.idx, y.idx) for x, y in zip(row, col)])) for col in cols]
+            [Poly._of(f, _dot(f, [[(1, x.idx, y.idx) for x, y in zip(row, col)]])[0]) for col in cols]
             for row in self.rows
         ])
 

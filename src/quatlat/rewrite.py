@@ -258,8 +258,10 @@ def commutes(pres: Presentation, g: Word, h: Word) -> bool:
 
 
 def is_anti_torus(pres: Presentation, g: Word, h: Word) -> bool:
-    """For a parametric lattice: an A-word and a B-word span an anti-torus
-    exactly when they do not commute."""
+    """For a parametric lattice, an A-word g and a B-word h: True iff both
+    are nonempty after free reduction and the single commutator [g, h] is
+    not the identity.  No higher powers g^t, h^l are checked, so this is
+    a necessary condition for an anti-torus, not a proof of one."""
     if pres.kind != "parametric":
         raise NotApplicableError("anti-torus criterion holds for parametric lattices only")
     g = free_reduce(pres, tuple(g))

@@ -1,9 +1,10 @@
+import functools
 import random
 
 import pytest
 
 import quatlat.quat
-from quatlat.ff import Field, QuadExt, norm_fiber, sigma_k
+from quatlat.ff import Field, QuadExt, _power, norm_fiber, sigma_k
 from quatlat.lattice import LatticeParams, build_generators
 from quatlat.quat import (
     Mat3,
@@ -38,27 +39,60 @@ def _power_cases():
         "FieldElem e=1": (f7.element(3), f7.one),
         "FieldElem e=2": (f9.element((1, 1)), f9.one),
         "QuadElem": (ext5.element(1, 3), ext5.one),
+        "Poly q=9": (Poly(f9, (f9.element((0, 1)), 1)), Poly.const(f9, 1)),
         "Quat q=3": (gen, alg.one),
     }
 
 
 POWER_CASES = _power_cases()
+# no polynomial, or polynomial quaternion, has a polynomial inverse
+NOT_INVERTIBLE = ("Poly q=9", "Quat q=3")
 
 
-@pytest.mark.parametrize("n", [-2, 0, 1, 5])
+@functools.lru_cache(maxsize=None)
+def _repeated_products(kind):
+    """x^0 .. x^64 of a power case, each one more product than the last."""
+    x, want = POWER_CASES[kind]
+    wants = [want]
+    for _ in range(64):
+        wants.append(wants[-1] * x)
+    return wants
+
+
+@pytest.mark.parametrize("n", [-2, *range(65)])
 @pytest.mark.parametrize("kind", sorted(POWER_CASES))
 def test_power_matches_repeated_multiplication(kind, n):
     x, one = POWER_CASES[kind]
-    if kind == "Quat q=3" and n < 0:
-        # a polynomial quaternion has no polynomial inverse
-        with pytest.raises(ValueError):
-            x**n
+    if n < 0:
+        if kind in NOT_INVERTIBLE:
+            with pytest.raises(ValueError):
+                x**n
+        else:
+            assert x**n == one * x.inverse() * x.inverse()
         return
-    base = x if n >= 0 else x.inverse()
-    want = one
-    for _ in range(abs(n)):
-        want = want * base
-    assert x**n == want
+    assert x**n == _repeated_products(kind)[n]
+
+
+class _Counted:
+    """x^n as n, whose products are logged: a square multiplies a value
+    by itself, any other product multiplies into the result."""
+
+    def __init__(self, n, log):
+        self.n, self.log = n, log
+
+    def __mul__(self, other):
+        self.log.append("square" if other is self else "into")
+        return _Counted(self.n + other.n, self.log)
+
+
+def test_power_squares_only_up_to_the_top_bit():
+    """n.bit_length() - 1 squares (none for n = 0) and one product into
+    the result per set bit of n."""
+    for n in range(65):
+        log = []
+        got = _power(_Counted(0, log), _Counted(1, log), n)
+        assert got.n == n
+        assert (log.count("square"), log.count("into")) == (max(n.bit_length() - 1, 0), bin(n).count("1")), n
 
 
 def test_poly_power():
@@ -80,7 +114,9 @@ def test_polys_equal_only_polys():
 
 
 def rand_poly(rng, field, deg):
-    return Poly(field, [rng.randrange(field.p) for _ in range(deg + 1)])
+    """Coefficients drawn from all of F_q by index; over a prime field
+    these are the residues `rng.randrange(p)` gives."""
+    return Poly(field, [field.from_index(rng.randrange(field.q)) for _ in range(deg + 1)])
 
 
 def rand_ratfun(rng, field, deg=3):
@@ -167,6 +203,38 @@ def test_divmod_and_gcd_match_sympy(p):
         if b:
             q, r = divmod(a, b)
             assert (big_endian(q), big_endian(r)) == gt.gf_div(big_endian(a), big_endian(b), p, ZZ)
+
+
+def reference_gcd(a, b):
+    """Euclid by Poly's remainder (`a % b` is `divmod(a, b)[1]`), each
+    division checked by multiplying back, made monic at the end."""
+    while b:
+        quo, rem = divmod(a, b)
+        assert quo * b + rem == a and rem.degree < b.degree
+        a, b = b, rem
+    return a.monic()
+
+
+@pytest.mark.parametrize("p, e", [(3, 2), (5, 2)])
+def test_gcd_over_extension_fields_matches_euclid(p, e):
+    """poly_gcd over F_9 and F_25, where an index is not a residue,
+    against Euclid by `%`; a shared factor makes some gcds nontrivial."""
+    rng = random.Random(p**e)
+    field = Field(p, e)
+    zero, degrees = Poly(field), set()
+    for _ in range(200):
+        a = rand_poly(rng, field, rng.randint(0, 8))
+        b = rand_poly(rng, field, rng.randint(0, 5))
+        f = rand_poly(rng, field, rng.randint(0, 2))
+        a, b = a * f, b * f
+        g = poly_gcd(a, b)
+        assert g == reference_gcd(a, b) == poly_gcd(b, a)
+        degrees.add(g.degree)
+    assert {1, 2} <= degrees
+    a = Poly(field, (1, 2, field.from_index(field.q - 1)))
+    assert not a.is_monic()
+    assert poly_gcd(zero, zero) == zero
+    assert poly_gcd(a, zero) == a.monic() == poly_gcd(zero, a)
 
 
 def test_ratfun_canonical():

@@ -98,6 +98,29 @@ def test_same_class_matches_projective_equality(data, q):
     assert x.same_class(y) == (x.projective() == y.projective()) == y.same_class(x)
 
 
+@pytest.mark.parametrize("zeros", [(0,), (0, 1), (0, 1, 2), (1,), (0, 2), (2, 3), (1, 3), (0, 1, 3)])
+@pytest.mark.parametrize("q", sorted(ALGEBRAS))
+def test_same_class_at_zero_coordinates(q, zeros):
+    """x and y = (t^2 + 1)*x are zero at `zeros`: leading coordinates, so
+    that the first nonzero one is coordinate 1, 2 or 3, and later ones.
+    `same_class` forms no minor at those coordinates or at the first
+    nonzero one.  Changing any other coordinate of y by 1 breaks the
+    class, whether it is a later nonzero coordinate (a minor) or a zero
+    one (the zero pattern)."""
+    alg = ALGEBRAS[q]
+    field = alg.field
+    t, one = Poly.t(field), Poly.const(field, 1)
+    x = alg.element(*(Poly(field) if j in zeros else t + Poly.const(field, j + 1) for j in range(4)))
+    y = x * (t * t + one)
+    assert x.same_class(y) and y.same_class(x) and x.projective() == y.projective()
+    first = min(set(range(4)) - set(zeros))
+    for j in set(range(4)) - {first}:
+        coords = list(y.coords)
+        coords[j] = coords[j] + one
+        z = alg.element(*coords)
+        assert not x.same_class(z) and not z.same_class(x) and x.projective() != z.projective(), j
+
+
 @EXAMPLES
 @given(st.data(), st.sampled_from(sorted(ALGEBRAS)))
 def test_zero_is_in_no_class(data, q):
