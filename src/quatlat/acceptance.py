@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
-from .ff import Field, QuadExt, find_nonsquare, norm_fiber, sigma_k
+from .ff import Field, QuadExt, Value, find_nonsquare, norm_fiber, sigma_k
 from .lattice import (
     LatticeParams,
     build_generators,
@@ -33,12 +32,11 @@ from .quat import QuatAlgebra, gamma3_matrix_relations, verify_power_lemma
 from .rewrite import free_reduce, normal_form, pi_action
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+class CheckResult(Value):
+    __slots__ = ("name", "ok", "detail", "seconds")
+
+    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
+        self._set(name, ok, detail, seconds)
 
 
 def check_construction_fidelity():

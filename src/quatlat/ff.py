@@ -22,7 +22,13 @@ index) for the public API.
 
 Extension elements u + vZ are pairs of F_q elements; their product and
 norm N(u + vZ) = u^2 - c*v^2 (= x * conj(x) = x^(q+1)) run on index
-pairs (see _quad_ops).  Every value is immutable and hashable.
+pairs (see _quad_ops).
+
+Every value class of the package derives from `Value`: its slots are
+read-only, it equals and hashes as `_key()`, the tuple of its slots,
+and it equals no value of another class.  `GenLabel` alone keeps
+identity equality; fields, extensions, algebras and presentations are
+not values and compare by identity.
 """
 
 from __future__ import annotations
@@ -34,6 +40,40 @@ from typing import Iterator
 
 class FieldError(ValueError):
     """Invalid field parameters or an undefined field operation."""
+
+
+class Value:
+    """An immutable value: equal to a value of its own class with an
+    equal `_key()`, the tuple of its slots.  Cold constructors write the
+    slots through `_set`; hot ones call `object.__setattr__` themselves,
+    and hot classes spell out their `_key`."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
 
 
 def _is_prime(n: int) -> bool:
@@ -67,19 +107,41 @@ def _digits(k: int, p: int, n: int) -> tuple:
     return tuple((k // p**i) % p for i in range(n))
 
 
+def _reduce(field: Field, rem: list, den, quo=None) -> list:
+    """rem mod den, in place and trimmed, for lists of field indices
+    (little-endian polynomial coefficients) with den trimmed and
+    nonzero; the quotient's coefficients go into `quo` when it is given.
+    The one polynomial division loop of the package."""
+    add, mul, neg, q = field.add, field.mul, field.neg, field.q
+    dn = len(den) - 1
+    lead_inv = field.inv[den[-1]]
+    for k in range(len(rem) - 1, dn - 1, -1):
+        c = rem[k]
+        if c:
+            f = mul[c * q + lead_inv]
+            if quo is not None:
+                quo[k - dn] = f
+            row = neg[f] * q
+            for i, d in enumerate(den, k - dn):
+                rem[i] = add[rem[i] * q + mul[row + d]]
+    del rem[dn:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
 def _smallest_irreducible(p: int, e: int) -> tuple:
     """The first monic polynomial of degree e, in the order of the
     integer its lower coefficients spell in base p, with no monic factor
-    of degree 1 .. e/2 (trial division); x for e = 1."""
+    of degree 1 .. e/2 (trial division on the prime field's indices,
+    which are the residues); x for e = 1."""
     if e == 1:
         return (0, 1)
-    from .quat import Poly
-
     field = Field(p)
+    divisors = [_digits(k, p, d) + (1,) for d in range(1, e // 2 + 1) for k in range(p**d)]
     for m in range(p**e):
         poly = _digits(m, p, e) + (1,)
-        num = Poly(field, poly)
-        if all(num % Poly(field, _digits(k, p, d) + (1,)) for d in range(1, e // 2 + 1) for k in range(p**d)):
+        if all(_reduce(field, list(poly), den) for den in divisors):
             return poly
 
 
@@ -167,9 +229,9 @@ class Field:
         return f"Field({self.p}, {self.e})"
 
 
-class FieldElem:
-    """An element of F_q as (field, index); immutable.  Arithmetic reads
-    the field's tables."""
+class FieldElem(Value):
+    """An element of F_q as (field, index).  Arithmetic reads the
+    field's tables."""
 
     __slots__ = ("field", "idx")
 
@@ -177,8 +239,8 @@ class FieldElem:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "idx", idx)
 
-    def __setattr__(self, *_):
-        raise AttributeError("FieldElem is immutable")
+    def _key(self) -> tuple:
+        return self.field, self.idx
 
     @property
     def coeffs(self) -> tuple:
@@ -217,16 +279,6 @@ class FieldElem:
         if n < 0:
             return self.inverse() ** (-n)
         return _power(self.field.one, self, n)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        return self.idx == other.idx and self.field is other.field
-
-    def __hash__(self):
-        return hash(self.idx)
 
     def __repr__(self):
         if self.field.e == 1:
@@ -317,8 +369,8 @@ class QuadExt:
         return f"QuadExt({self.field!r}, c={self.c!r})"
 
 
-class QuadElem:
-    """An element u + vZ of F_q[Z]; immutable."""
+class QuadElem(Value):
+    """An element u + vZ of F_q[Z]."""
 
     __slots__ = ("ext", "u", "v")
 
@@ -327,8 +379,8 @@ class QuadElem:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
-    def __setattr__(self, *_):
-        raise AttributeError("QuadElem is immutable")
+    def _key(self) -> tuple:
+        return self.ext, self.u, self.v
 
     def is_zero(self) -> bool:
         return self.u.is_zero() and self.v.is_zero()
@@ -359,16 +411,6 @@ class QuadElem:
         if n < 0:
             return self.inverse() ** (-n)
         return _power(self.ext.one, self, n)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, QuadElem):
-            return NotImplemented
-        return self.u == other.u and self.v == other.v and self.ext is other.ext
-
-    def __hash__(self):
-        return hash((self.u, self.v))
 
     def __repr__(self):
         if self.v.is_zero():

@@ -19,10 +19,9 @@ square, never hand-entered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ff import Field, FieldElem, FieldError, QuadExt, QuadElem, norm_fiber, sigma_k
+from .ff import Field, FieldElem, FieldError, QuadExt, QuadElem, Value, norm_fiber, sigma_k
 from .quat import Poly, QuatAlgebra
 
 
@@ -39,8 +38,7 @@ class ParameterMismatchError(ValueError):
     """Source/target presentations do not fit the requested map."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class GenLabel:
+class GenLabel(Value):
     """A generator letter: side 'A' or 'B', a stable name, an inversion
     flag for named lattices, and the fiber index for parametric ones.
 
@@ -48,10 +46,11 @@ class GenLabel:
     read as a letter of another; each presentation numbers its own
     letters (`Presentation._code`)."""
 
-    side: str
-    name: str
-    inv: bool = False
-    index: QuadElem | None = None
+    __slots__ = ("side", "name", "inv", "index")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, side: str, name: str, inv: bool = False, index: QuadElem | None = None):
+        self._set(side, name, inv, index)
 
     def token(self) -> str:
         return f"{self.name}^-1" if self.inv else self.name
@@ -63,21 +62,19 @@ class GenLabel:
 Word = tuple  # sequence of GenLabel
 
 
-@dataclass(frozen=True)
-class LatticeParams:
+class LatticeParams(Value):
     """Field data (q, c, tau) for a parametric lattice.  The norm of the
     B letters, `b_norm_target` = c*tau/(1-tau), is computed once here."""
 
-    ext: QuadExt
-    tau: FieldElem
+    __slots__ = ("ext", "tau", "b_norm_target")
 
-    def __post_init__(self):
-        field = self.ext.field
-        if self.tau.field is not field:
-            raise FieldError(f"tau = {self.tau!r} lies in {self.tau.field!r}, not in {field!r}")
-        if self.tau.is_zero() or self.tau == field.one:
+    def __init__(self, ext: QuadExt, tau: FieldElem):
+        field = ext.field
+        if tau.field is not field:
+            raise FieldError(f"tau = {tau!r} lies in {tau.field!r}, not in {field!r}")
+        if tau.is_zero() or tau == field.one:
             raise ValueError("tau must differ from 0 and 1")
-        object.__setattr__(self, "b_norm_target", self.ext.c * self.tau / (field.one - self.tau))
+        self._set(ext, tau, ext.c * tau / (field.one - tau))
 
     @property
     def field(self) -> Field:
@@ -98,15 +95,13 @@ class LatticeParams:
         return cls(ext, field.element(tau))
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(Value):
     """One geometric square a*b = b2*a2 with its commutation status."""
 
-    a: GenLabel
-    b: GenLabel
-    b2: GenLabel
-    a2: GenLabel
-    commuting: bool
+    __slots__ = ("a", "b", "b2", "a2", "commuting")
+
+    def __init__(self, a: GenLabel, b: GenLabel, b2: GenLabel, a2: GenLabel, commuting: bool):
+        self._set(a, b, b2, a2, commuting)
 
 
 def _square_readings(inverse, a, b, b2, a2) -> tuple:

@@ -75,9 +75,9 @@ equation rather than an identity word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from .ff import Value
 from .lattice import Presentation
 from .rewrite import append_letter, commutes, is_identity
 
@@ -86,24 +86,22 @@ class HypothesisViolatedError(ValueError):
     prediction requires."""
 
 
-@dataclass(frozen=True)
-class BoundedLanguageSpec:
+class BoundedLanguageSpec(Value):
     """Blocks w1..wd, an exponent sign convention, and an optional
     output remap: coordinate j reports sign_j * exponent(slot_j)."""
 
-    words: tuple
-    signed: bool = False
-    remap: tuple | None = None
+    __slots__ = ("words", "signed", "remap")
 
-    def __post_init__(self):
-        if not self.words or any(not w for w in self.words):
+    def __init__(self, words: tuple, signed: bool = False, remap: tuple | None = None):
+        if not words or any(not w for w in words):
             raise ValueError("need at least one nonempty block word")
-        if self.remap is not None:
-            slots = sorted(slot for slot, _ in self.remap)
-            if slots != list(range(len(self.words))):
+        if remap is not None:
+            slots = sorted(slot for slot, _ in remap)
+            if slots != list(range(len(words))):
                 raise ValueError("remap must be a signed permutation of the blocks")
-            if any(sign not in (1, -1) for _, sign in self.remap):
+            if any(sign not in (1, -1) for _, sign in remap):
                 raise ValueError("remap signs must be +1 or -1")
+        self._set(words, signed, remap)
 
     @property
     def arity(self) -> int:
@@ -303,22 +301,20 @@ def _nonneg_tuple(t):
     return t
 
 
-@dataclass(frozen=True)
-class LinearSet:
+class LinearSet(Value):
     """{base + sum lambda_i * periods_i : lambda_i >= 0}."""
 
-    base: tuple
-    periods: tuple = ()
+    __slots__ = ("base", "periods")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", _nonneg_tuple(self.base))
+    def __init__(self, base: tuple, periods: tuple = ()):
+        base = _nonneg_tuple(base)
         cleaned = sorted(
-            {_nonneg_tuple(p) for p in self.periods if any(p)}
+            {_nonneg_tuple(p) for p in periods if any(p)}
         )  # zero periods dropped: they change nothing
         for p in cleaned:
-            if len(p) != len(self.base):
+            if len(p) != len(base):
                 raise ValueError("period arity mismatch")
-        object.__setattr__(self, "periods", tuple(cleaned))
+        self._set(base, tuple(cleaned))
 
     def contains(self, point) -> bool:
         target = tuple(x - b for x, b in zip(point, self.base))
@@ -354,14 +350,13 @@ class LinearSet:
         return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class SemilinearSet:
+class SemilinearSet(Value):
     """A finite union of linear sets."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts: tuple):
+        self._set(tuple(parts))
 
     @classmethod
     def of(cls, *parts) -> "SemilinearSet":
@@ -383,19 +378,18 @@ class SemilinearSet:
         return out
 
 
-@dataclass(frozen=True)
-class PowerDiagonal:
+class PowerDiagonal(Value):
     """The zero tuple together with all constant tuples (m^j, ..., m^j).
 
     Its growth in the box [0, n] is 1 + #{j >= 0 : m^j <= n}, which is
     logarithmic — no semilinear set does that."""
 
-    m: int
-    d: int = 4
+    __slots__ = ("m", "d")
 
-    def __post_init__(self):
-        if self.m < 2 or self.d < 1:
+    def __init__(self, m: int, d: int = 4):
+        if m < 2 or d < 1:
             raise ValueError("need m >= 2 and d >= 1")
+        self._set(m, d)
 
     def contains(self, point) -> bool:
         if len(point) != self.d:
@@ -437,10 +431,14 @@ def growth(obj, n: int) -> int:
     return len(expected_points(obj, n))
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    missing: tuple  # expected but not enumerated
-    extra: tuple  # enumerated but not expected
+class CompareReport(Value):
+    """The points expected but not enumerated (`missing`) and those
+    enumerated but not expected (`extra`)."""
+
+    __slots__ = ("missing", "extra")
+
+    def __init__(self, missing: tuple, extra: tuple):
+        self._set(missing, extra)
 
     @property
     def ok(self) -> bool:

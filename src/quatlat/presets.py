@@ -14,8 +14,7 @@ this registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .ff import Value
 from .lattice import LatticeParams, Presentation, build_square_table, named_presentation
 from .parikh import BoundedLanguageSpec, LinearSet, PowerDiagonal, SemilinearSet
 from .rewrite import orbit_size, parse_word
@@ -59,14 +58,12 @@ def gamma3_orbits(g3: Presentation) -> tuple:
     return orbit_size(g3, a, x + x), orbit_size(g3, x, a + a)
 
 
-@dataclass(frozen=True)
-class ExampleLanguage:
-    lattice: str
-    words: str
-    expected: object
-    bound: int
-    signed: bool = False
-    remap: tuple | None = None
+class ExampleLanguage(Value):
+    __slots__ = ("lattice", "words", "expected", "bound", "signed", "remap")
+
+    def __init__(self, lattice: str, words: str, expected, bound: int, signed: bool = False,
+                 remap: tuple | None = None):
+        self._set(lattice, words, expected, bound, signed, remap)
 
     def spec(self, pres: Presentation) -> BoundedLanguageSpec:
         blocks = tuple(parse_word(pres, w) for w in self.words.split(";"))

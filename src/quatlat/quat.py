@@ -11,7 +11,7 @@ kernel, `_dot`, forms sums of scaled products of index tuples, as many
 sums as it is given in one call: the sum or the product of two Polys is
 one call with one sum, and a Quat product is two calls, one for s*x2
 and s*x3 (s = t(t-1)) and one for the four coordinates.  Only the
-results are wrapped as Polys.  One division loop, `_reduce`, serves
+results are wrapped as Polys.  One division loop, `ff._reduce`, serves
 `divmod` and `poly_gcd`, which runs Euclid on index lists.
 
 Quaternion coordinates are polynomials: every generator c*f + xi*F*Z
@@ -33,39 +33,30 @@ The module also carries the fixed 3x3 matrix quadruple over F_3(t)
 whose projective relations match the rank-(2,2) lattice presentation at
 q = 3 (the prefactor 1/(t+1) of the last two matrices is dropped, being
 a scalar).
+
+Poly, RatFun, Quat, ProjQuat and Mat3 are `ff.Value`s: immutable, and
+equal when their classes and slots are.  A ProjQuat's coordinates are
+normalized, so two are equal exactly when their quaternions are equal
+mod K*.
 """
 
 from __future__ import annotations
 
-from .ff import Field, FieldElem, FieldError, QuadExt, QuadElem, _power, sigma_k
+from .ff import Field, FieldElem, FieldError, QuadExt, QuadElem, Value, _power, _reduce, sigma_k
 
 
-class Poly:
+class Poly(Value):
     """A polynomial in t over F_q, stored as the little-endian tuple `idx`
     of its coefficients' field indices, with no trailing zeros; the
     arithmetic reads the field's tables."""
 
     __slots__ = ("field", "idx")
 
-    def __init__(self, field: Field, coeffs=()):
-        self._fill(field, [field.element(c).idx for c in coeffs])
+    def __new__(cls, field: Field, coeffs=()):
+        return _poly(field, [field.element(c).idx for c in coeffs])
 
-    @classmethod
-    def _of(cls, field: Field, idx: list) -> "Poly":
-        """A Poly from a list of indices of `field`, as the arithmetic
-        below makes them: trimmed, but not coerced again."""
-        poly = object.__new__(cls)
-        poly._fill(field, idx)
-        return poly
-
-    def _fill(self, field, idx):
-        while idx and not idx[-1]:
-            idx.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "idx", tuple(idx))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Poly is immutable")
+    def _key(self) -> tuple:
+        return self.field, self.idx
 
     @property
     def coeffs(self) -> tuple:
@@ -104,22 +95,22 @@ class Poly:
 
     def __add__(self, other):
         ys = _as_poly(self.field, other).idx
-        return Poly._of(self.field, _dot(self.field, [[(1, self.idx, (1,)), (1, ys, (1,))]])[0])
+        return _poly(self.field, _dot(self.field, [[(1, self.idx, (1,)), (1, ys, (1,))]])[0])
 
     def __sub__(self, other):
         return self + (-_as_poly(self.field, other))
 
     def __neg__(self):
         neg = self.field.neg
-        return Poly._of(self.field, [neg[k] for k in self.idx])
+        return _poly(self.field, [neg[k] for k in self.idx])
 
     def __mul__(self, other):
         field = self.field
         mul, q = field.mul, field.q
         if isinstance(other, FieldElem):
             row = field.element(other).idx * q
-            return Poly._of(field, [mul[row + k] for k in self.idx])
-        return Poly._of(field, _dot(field, [[(1, self.idx, _as_poly(field, other).idx)]])[0])
+            return _poly(field, [mul[row + k] for k in self.idx])
+        return _poly(field, _dot(field, [[(1, self.idx, _as_poly(field, other).idx)]])[0])
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -133,23 +124,13 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         rem, quo = list(self.idx), [0] * max(len(self.idx) - other.degree, 1)
         _reduce(field, rem, other.idx, quo)
-        return Poly._of(field, quo), Poly._of(field, rem)
+        return _poly(field, quo), _poly(field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if isinstance(other, Poly):
-            return self.idx == other.idx and self.field == other.field
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.idx)
 
     def __repr__(self):
         if not self.idx:
@@ -164,6 +145,19 @@ class Poly:
                 ts = "t" if i == 1 else f"t^{i}"
                 terms.append(ts if c == self.field.one else f"{c!r}*{ts}")
         return " + ".join(terms)
+
+
+def _poly(field: Field, idx: list, new=object.__new__, put_field=Poly.field.__set__,
+          put_idx=Poly.idx.__set__) -> Poly:
+    """A Poly from a list of indices of `field`, as the arithmetic makes
+    them: trimmed, but not coerced again; the slots are written through
+    their descriptors, bound once."""
+    while idx and not idx[-1]:
+        idx.pop()
+    poly = new(Poly)
+    put_field(poly, field)
+    put_idx(poly, tuple(idx))
+    return poly
 
 
 def _dot(field: Field, sums) -> list:
@@ -215,28 +209,6 @@ def _as_poly(field: Field, value) -> Poly:
     raise TypeError(f"cannot coerce {value!r} to a polynomial")
 
 
-def _reduce(field: Field, rem: list, den, quo=None) -> list:
-    """rem mod den, in place and trimmed, for index lists with den
-    trimmed and nonzero; the quotient's coefficients go into `quo` when
-    it is given.  The one division loop of `divmod` and `poly_gcd`."""
-    add, mul, neg, q = field.add, field.mul, field.neg, field.q
-    dn = len(den) - 1
-    lead_inv = field.inv[den[-1]]
-    for k in range(len(rem) - 1, dn - 1, -1):
-        c = rem[k]
-        if c:
-            f = mul[c * q + lead_inv]
-            if quo is not None:
-                quo[k - dn] = f
-            row = neg[f] * q
-            for i, d in enumerate(den, k - dn):
-                rem[i] = add[rem[i] * q + mul[row + d]]
-    del rem[dn:]
-    while rem and not rem[-1]:
-        rem.pop()
-    return rem
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """The monic gcd of a and b, 0 when both are 0: Euclid on index
     lists by remainders alone, with one Poly built at the end."""
@@ -247,7 +219,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if x:
         row = field.inv[x[-1]] * field.q
         x = [field.mul[row + k] for k in x]
-    return Poly._of(field, x)
+    return _poly(field, x)
 
 
 def _primitive(polys) -> list:
@@ -269,7 +241,7 @@ def _primitive(polys) -> list:
     return polys
 
 
-class RatFun:
+class RatFun(Value):
     """A generator parameter num/den over F_q, held in normal form: den
     monic, gcd(num, den) = 1.  It has no arithmetic."""
 
@@ -281,19 +253,7 @@ class RatFun:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         den, num = _primitive((den, num))
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RatFun is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
+        self._set(num, den)
 
     def __repr__(self):
         if self.den.degree == 0:
@@ -352,7 +312,7 @@ class QuatAlgebra:
         return f"QuatAlgebra(q={self.field.q}, c={self.c!r})"
 
 
-class Quat:
+class Quat(Value):
     """A quaternion x0 + x1*Z + x2*F + x3*ZF with polynomial coords."""
 
     __slots__ = ("algebra", "coords")
@@ -360,9 +320,6 @@ class Quat:
     def __init__(self, algebra: QuatAlgebra, coords):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coords", tuple(coords))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Quat is immutable")
 
     def __add__(self, other):
         return Quat(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -387,7 +344,7 @@ class Quat:
             ((1, x0, y2), (c, x1, y3), (1, x2, y0), (mc, x3, y1)),
             ((1, x0, y3), (1, x1, y2), (m1, x2, y1), (1, x3, y0)),
         ))
-        return Quat(algebra, tuple(Poly._of(f, ri) for ri in r))
+        return Quat(algebra, tuple(_poly(f, ri) for ri in r))
 
     def conj(self) -> "Quat":
         x0, x1, x2, x3 = self.coords
@@ -409,16 +366,6 @@ class Quat:
         `projective()`, this takes no gcd."""
         return self.algebra is other.algebra and _proportional(self.coords, other.coords)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Quat):
-            return NotImplemented
-        return self.coords == other.coords and self.algebra is other.algebra
-
-    def __hash__(self):
-        return hash(self.coords)
-
     def __repr__(self):
         names = ("", "Z", "F", "ZF")
         terms = []
@@ -429,7 +376,7 @@ class Quat:
         return " + ".join(terms) if terms else "0"
 
 
-class ProjQuat:
+class ProjQuat(Value):
     """The class of a quaternion mod K*: coordinate gcd divided out,
     first nonzero coordinate monic."""
 
@@ -438,21 +385,7 @@ class ProjQuat:
     def __init__(self, quat: Quat):
         if quat.is_zero():
             raise ValueError("zero quaternion has no projective class")
-        object.__setattr__(self, "algebra", quat.algebra)
-        object.__setattr__(self, "coords", tuple(_primitive(quat.coords)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("ProjQuat is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, ProjQuat):
-            return NotImplemented
-        return self.coords == other.coords and self.algebra is other.algebra
-
-    def __hash__(self):
-        return hash(self.coords)
+        self._set(quat.algebra, tuple(_primitive(quat.coords)))
 
     def __repr__(self):
         return f"[{Quat(self.algebra, self.coords)!r}]"
@@ -473,20 +406,14 @@ def verify_power_lemma(algebra: QuatAlgebra, xi: QuadElem, f, k: int) -> bool:
     return lhs == algebra.generator_quat(xi_prime, g).projective()
 
 
-class Mat3:
+class Mat3(Value):
     """3x3 matrix over F_q[t]; projective identities via the adjugate."""
 
     __slots__ = ("field", "rows")
 
     def __init__(self, field: Field, rows):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(
-            self, "rows", tuple(tuple(_as_poly(field, x) for x in row) for row in rows)
-        )
+        self._set(field, tuple(tuple(_as_poly(field, x) for x in row) for row in rows))
         assert len(self.rows) == 3 and all(len(r) == 3 for r in self.rows)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Mat3 is immutable")
 
     @classmethod
     def from_int_polys(cls, field: Field, rows) -> "Mat3":
@@ -496,7 +423,7 @@ class Mat3:
     def __mul__(self, other: "Mat3") -> "Mat3":
         f, cols = self.field, tuple(zip(*other.rows))
         return Mat3(f, [
-            [Poly._of(f, _dot(f, [[(1, x.idx, y.idx) for x, y in zip(row, col)]])[0]) for col in cols]
+            [_poly(f, _dot(f, [[(1, x.idx, y.idx) for x, y in zip(row, col)]])[0]) for col in cols]
             for row in self.rows
         ])
 

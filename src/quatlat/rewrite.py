@@ -46,9 +46,9 @@ call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
+from .ff import Value
 from .lattice import GenLabel, Presentation, Word
 
 
@@ -60,14 +60,16 @@ class NotApplicableError(ValueError):
     """Operation undefined for this lattice kind."""
 
 
-@dataclass(slots=True)
-class NormalForm:
+class NormalForm(Value):
     """Reduced A-part and B-part; order 'AB' means a_part * b_part,
     order 'BA' means b_part * a_part."""
 
-    a_part: Word
-    b_part: Word
-    order: str
+    __slots__ = ("a_part", "b_part", "order")
+
+    def __init__(self, a_part: Word, b_part: Word, order: str):
+        object.__setattr__(self, "a_part", a_part)
+        object.__setattr__(self, "b_part", b_part)
+        object.__setattr__(self, "order", order)
 
     def __len__(self):
         return len(self.a_part) + len(self.b_part)

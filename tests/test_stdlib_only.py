@@ -1,10 +1,13 @@
 """The runtime stays standard-library only: every import in the package
 is relative or names a standard-library module.  And the package parses
-as the oldest Python that pyproject.toml declares."""
+as the oldest Python that pyproject.toml declares, and importing it
+loads neither `dataclasses` nor `inspect`."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import quatlat
@@ -34,3 +37,12 @@ def test_sources_parse_as_the_declared_python_floor():
     assert sources
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=floor)
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    src = str(pathlib.Path(quatlat.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, quatlat.cli, quatlat.acceptance; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -9,10 +9,12 @@ ones.  Every run starts from a fresh `git archive` export of its
 revision, so it holds only tracked files and no `__pycache__`, and runs
 with PYTHONDONTWRITEBYTECODE=1; the export is deleted when the run ends.
 The output file names each side's commit and the hash of its `src`
-tree, and holds every run's final JSON line and, per end-to-end
-metric, both sides' medians and quartiles (`statistics.quantiles`,
-exclusive method) and the number of pairs in which the change was
-lower.  --claim and --in-process fill the free-text fields of the same
+tree, and holds every run's final JSON line and its unscaled rows
+(`host_slowdown`, `wall_best_raw_s` and `setup_raw_s`, read from the
+metric lines run.py prints), so that an outlying `wall_s` can be traced
+to its speed probes, and, per end-to-end metric, both sides' medians
+and quartiles (`statistics.quantiles`, exclusive method) and the number
+of pairs in which the change was lower.  --claim and --in-process fill the free-text fields of the same
 name.  Standard library only; runs one benchmark process at a time.
 """
 
@@ -30,6 +32,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RAW_ROWS = ("host_slowdown", "wall_best_raw_s", "setup_raw_s")
 
 
 def _git(*args):
@@ -63,6 +66,17 @@ def run_once(commit, bench_args):
         raise RuntimeError(f"run.py {' '.join(bench_args)} on {commit[:12]} exited with "
                            f"{proc.returncode}:\n{proc.stderr.strip()}")
     return proc.stdout.splitlines()
+
+
+def raw_rows(lines):
+    """{workload/name: value} of one run's RAW_ROWS, from the metric
+    lines `workload name value unit note` that run.py prints."""
+    rows = {}
+    for line in lines:
+        parts = line.split()
+        if len(parts) > 2 and parts[1] in RAW_ROWS:
+            rows[f"{parts[0]}/{parts[1]}"] = float(parts[2])
+    return rows
 
 
 def _quartiles(values):
@@ -116,6 +130,7 @@ def main(argv=None):
     seeds = [args.first_seed + i for i in range(args.pairs)]
     runs = {"parent": {}, "change": {}}
     lines = {"parent": {}, "change": {}}
+    raw = {"parent": {}, "change": {}}
     first, machine = {}, None
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -124,6 +139,7 @@ def main(argv=None):
             out = run_once(commits[side], ["--seed", str(seed), *bench_args])
             machine = machine or next(l.split(": ", 1)[1] for l in out if l.startswith("# machine: "))
             lines[side][str(seed)] = out[-1]
+            raw[side][str(seed)] = raw_rows(out)
             runs[side][seed] = json.loads(out[-1])
             print(f"seed {seed} {side}: {out[-1]}", file=sys.stderr)
 
@@ -140,6 +156,7 @@ def main(argv=None):
         "first_in_pair": first,
         "pairs": summarize(runs, args.workload),
         "final_json_lines": lines,
+        "raw_rows": raw,
         "failed_ops": f"{failed['parent']} on the parent side and {failed['change']} on the change side; "
                       + ("every run correct" if correct else "some runs not correct"),
         "in_process": args.in_process,
