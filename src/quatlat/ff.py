@@ -17,8 +17,14 @@ filled by digits: for a = a0 + p*a', row a is p*(a' + b') + (a0 + b0)
 mod p, from the table of e - 1 digits.  `mul` is filled by Horner on
 indices: with a0 constant, row a is a0*b + x*(a'*b), read from rows a0
 and a' through `add` and the map v -> x*v.  `neg` and `inv` are where
-each row of `add` and `mul` holds 0 and 1.  FieldElem wraps (field,
-index) for the public API.
+each row of `add` and `mul` holds 0 and 1.
+
+A FieldElem is one object per element: each field makes its q elements
+once, as the tuple `elems`, and every way of reaching an element (the
+constructor, `element`, `from_index`, `elements()`, arithmetic, norms,
+`sigma_k`, polynomial coefficients) returns the entry of that tuple.  So
+two elements are equal exactly when they are the same object, and an
+element hashes as its index.
 
 Extension elements u + vZ are pairs of F_q elements; their product and
 norm N(u + vZ) = u^2 - c*v^2 (= x * conj(x) = x^(q+1)) run on index
@@ -26,9 +32,9 @@ pairs (see _quad_ops).
 
 Every value class of the package derives from `Value`: its slots are
 read-only, it equals and hashes as `_key()`, the tuple of its slots,
-and it equals no value of another class.  `GenLabel` alone keeps
-identity equality; fields, extensions, algebras and presentations are
-not values and compare by identity.
+and it equals no value of another class.  `GenLabel` and `FieldElem`
+keep identity equality, as each is made once; fields, extensions,
+algebras and presentations are not values and compare by identity.
 """
 
 from __future__ import annotations
@@ -151,7 +157,8 @@ class Field:
 
     `vec[k]` is the coefficient vector of index k; `add[a*q + b]` and
     `mul[a*q + b]` are the indices of a + b and a*b, `neg[a]` of -a and
-    `inv[a]` of 1/a (None at 0)."""
+    `inv[a]` of 1/a (None at 0); `elems[k]` is the element of index k,
+    the only FieldElem of that index."""
 
     _made: dict = {}
 
@@ -176,8 +183,10 @@ class Field:
         field.p, field.e, field.q = p, e, p**e
         field.modulus = _smallest_irreducible(p, e)
         field.vec, field.add, field.mul, field.neg, field.inv = field._tables()
-        field.zero = FieldElem(field, 0)
-        field.one = FieldElem(field, 1)
+        field.elems = tuple(object.__new__(FieldElem) for _ in range(field.q))
+        for k, x in enumerate(field.elems):
+            x._set(field, k)
+        field.zero, field.one = field.elems[0], field.elems[1]
         return cls._made.setdefault((p, e), field)
 
     def _tables(self):
@@ -209,38 +218,41 @@ class Field:
                 raise FieldError("element from a different field")
             return value
         if isinstance(value, int):
-            return FieldElem(self, value % self.p)
+            return self.elems[value % self.p]
         coeffs = [int(c) % self.p for c in value]
         if len(coeffs) > self.e:
             raise FieldError(f"coefficient vector longer than degree {self.e}")
-        return FieldElem(self, sum(c * self.p**i for i, c in enumerate(coeffs)))
+        return self.elems[sum(c * self.p**i for i, c in enumerate(coeffs))]
 
     def from_index(self, k: int) -> "FieldElem":
         """The k-th element in the fixed enumeration order (base-p digits)."""
-        if not 0 <= k < self.q:
-            raise FieldError(f"index {k} out of range for q={self.q}")
         return FieldElem(self, k)
 
     def elements(self) -> Iterator["FieldElem"]:
-        for k in range(self.q):
-            yield FieldElem(self, k)
+        return iter(self.elems)
 
     def __repr__(self):
         return f"Field({self.p}, {self.e})"
 
 
 class FieldElem(Value):
-    """An element of F_q as (field, index).  Arithmetic reads the
-    field's tables."""
+    """An element of F_q: the entry `field.elems[idx]`, made with its
+    field and never again, so it equals only itself and hashes as its
+    index.  Arithmetic reads the field's tables; an operand that is not
+    an element of the same field is coerced by `Field.element`."""
 
     __slots__ = ("field", "idx")
 
-    def __init__(self, field: Field, idx: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "idx", idx)
+    def __new__(cls, field: Field, idx: int):
+        # only an int in range(q): elems[-1] is the last element, and True would pass for 1
+        if type(idx) is not int or not 0 <= idx < field.q:
+            raise FieldError(f"index {idx!r} out of range for q={field.q}")
+        return field.elems[idx]
 
-    def _key(self) -> tuple:
-        return self.field, self.idx
+    __eq__ = object.__eq__
+
+    def __hash__(self):
+        return self.idx
 
     @property
     def coeffs(self) -> tuple:
@@ -254,23 +266,31 @@ class FieldElem(Value):
 
     def __add__(self, other):
         f = self.field
-        return FieldElem(f, f.add[self.idx * f.q + f.element(other).idx])
+        if type(other) is not FieldElem or other.field is not f:
+            other = f.element(other)
+        return f.elems[f.add[self.idx * f.q + other.idx]]
 
     def __sub__(self, other):
         f = self.field
-        return FieldElem(f, f.add[self.idx * f.q + f.neg[f.element(other).idx]])
+        if type(other) is not FieldElem or other.field is not f:
+            other = f.element(other)
+        return f.elems[f.add[self.idx * f.q + f.neg[other.idx]]]
 
     def __neg__(self):
-        return FieldElem(self.field, self.field.neg[self.idx])
+        f = self.field
+        return f.elems[f.neg[self.idx]]
 
     def __mul__(self, other):
         f = self.field
-        return FieldElem(f, f.mul[self.idx * f.q + f.element(other).idx])
+        if type(other) is not FieldElem or other.field is not f:
+            other = f.element(other)
+        return f.elems[f.mul[self.idx * f.q + other.idx]]
 
     def inverse(self) -> "FieldElem":
         if not self.idx:
             raise ZeroDivisionError("inverse of zero field element")
-        return FieldElem(self.field, self.field.inv[self.idx])
+        f = self.field
+        return f.elems[f.inv[self.idx]]
 
     def __truediv__(self, other):
         return self * self.field.element(other).inverse()
@@ -359,7 +379,8 @@ class QuadExt:
 
     def pair(self, u: int, v: int) -> "QuadElem":
         """The element u + vZ of two field indices."""
-        return QuadElem(self, FieldElem(self.field, u), FieldElem(self.field, v))
+        elems = self.field.elems
+        return QuadElem(self, elems[u], elems[v])
 
     def elements(self) -> Iterator["QuadElem"]:
         q = self.field.q
@@ -399,7 +420,7 @@ class QuadElem(Value):
         return QuadElem(self.ext, self.u, -self.v)
 
     def norm(self) -> FieldElem:
-        return FieldElem(self.ext.field, self.ext._norm(self.u.idx, self.v.idx))
+        return self.ext.field.elems[self.ext._norm(self.u.idx, self.v.idx)]
 
     def inverse(self) -> "QuadElem":
         n = self.norm()
@@ -446,6 +467,6 @@ def sigma_k(ext: QuadExt, xi: QuadElem, k: int) -> QuadElem:
     scale = ext._scales.get((k, norm))
     if scale is None:
         exp = (ext.field.p**k - 1) // 2
-        twist = ((-ext.c) ** exp).inverse() * FieldElem(ext.field, norm) ** exp
+        twist = ((-ext.c) ** exp).inverse() * ext.field.elems[norm] ** exp
         scale = ext._scales[k, norm] = twist.idx
     return ext.pair(*ext._times(u, v, scale, 0))

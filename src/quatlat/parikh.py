@@ -233,17 +233,20 @@ def _grid(pres, spec, bound):
     """The points of a spec `_on_grid`.  A B,A,B,A spec is rotated by one
     block, which conjugates its word, so its A-exponent t stands in the
     odd coordinates; a signed spec is the union of 16 unsigned sweeps on
-    inverted letters."""
+    inverted letters, merged in a set.  One sweep has no repeats, and
+    left in its order its points are two ascending runs when t stands
+    first, which `sorted` merges in linear time."""
     shift = int(spec.words[0][0].side == "B")
     codes = [pres._code[w[0]] for w in spec.words]
     inv = pres._inv_code
     x, y = (1, 0) if shift else (0, 1)  # coordinates 0 and 2 report p[x], 1 and 3 report p[y]
-    points = set()
+    points = set() if spec.signed else []
+    add = points.update if spec.signed else points.extend
     for signs in product((1, -1) if spec.signed else (1,), repeat=4):
         s0, s1, s2, s3 = signs
         g = [c if s > 0 else inv[c] for c, s in zip(codes, signs)]
         pairs = _sweep(pres, *(g[shift:] + g[:shift]), bound)
-        points.update((s0 * p[x], s1 * p[y], s2 * p[x], s3 * p[y]) for p in pairs)
+        add((s0 * p[x], s1 * p[y], s2 * p[x], s3 * p[y]) for p in pairs)
     if spec.remap is None:
         return points
     return [spec.point_from_exponents(p) for p in points]

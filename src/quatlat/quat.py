@@ -6,7 +6,7 @@
 Polynomials are little-endian tuples of field-element indices with no
 trailing zeros (the zero polynomial is the empty tuple); their
 arithmetic is lookups in the field's add/mul/neg/inv tables, and
-`coeffs` and `lead()` wrap indices as FieldElems for callers.  One
+`coeffs` and `lead()` read the field's elements at those indices.  One
 kernel, `_dot`, forms sums of scaled products of index tuples, as many
 sums as it is given in one call: the sum or the product of two Polys is
 one call with one sum, and a Quat product is two calls, one for s*x2
@@ -60,7 +60,7 @@ class Poly(Value):
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(FieldElem(self.field, k) for k in self.idx)
+        return tuple(map(self.field.elems.__getitem__, self.idx))
 
     @classmethod
     def t(cls, field: Field) -> "Poly":
@@ -83,7 +83,7 @@ class Poly(Value):
     def lead(self) -> FieldElem:
         if not self.idx:
             raise ZeroDivisionError("leading coefficient of zero")
-        return FieldElem(self.field, self.idx[-1])
+        return self.field.elems[self.idx[-1]]
 
     def is_monic(self) -> bool:
         return bool(self.idx) and self.idx[-1] == 1

@@ -1,9 +1,15 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import quatlat
 from quatlat.ff import (
     Field,
+    FieldElem,
     FieldError,
     QuadExt,
     find_nonsquare,
@@ -11,6 +17,7 @@ from quatlat.ff import (
     norm_fiber,
     sigma_k,
 )
+from quatlat.quat import Poly
 
 
 def brute_irreducible_quadratics(p):
@@ -304,3 +311,68 @@ def test_extension_arithmetic_matches_sympy(p, e):
         if a:
             s, _, h = gt.gf_gcdex(big_endian(a), modulus, p, ZZ)
             assert h == [1] and big_endian(field.from_index(a).inverse().idx) == s
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (5, 2), (3, 3), (11, 2), (1021, 1)])
+def test_every_element_is_the_fields_own_object(p, e):
+    """Each way of reaching an element returns the entry of `elems` with
+    its index: arithmetic, coercion, enumeration, extension elements and
+    their norms, sigma_k and polynomial coefficients."""
+    field = Field(p, e)
+    q, elems = field.q, field.elems
+    assert len(elems) == q and [x.idx for x in elems] == list(range(q))
+    assert all(x.field is field for x in elems) and field.zero is elems[0] and field.one is elems[1]
+
+    def own(*xs):
+        return all(x is elems[x.idx] for x in xs)
+
+    assert list(field.elements()) == list(elems) and all(map(own, field.elements()))
+    assert all(FieldElem(field, k) is field.from_index(k) is elems[k] for k in range(q))
+    assert field.element(-1) is elems[field.neg[1]] and field.element(p + 2) is elems[2 % p]
+    assert field.element((1,) * e) is elems[sum(p**i for i in range(e))]
+    rng = random.Random(q)
+    ext = QuadExt(field, find_nonsquare(field))
+    for _ in range(200):
+        x, y = elems[rng.randrange(q)], elems[rng.randrange(1, q)]
+        assert own(x + y, x - y, x * y, -x, y.inverse(), x / y, x ** 5, y ** -3, x + 1, x * 2)
+        assert (x + y).idx == field.add[x.idx * q + y.idx] and (x * y).idx == field.mul[x.idx * q + y.idx]
+        xi = ext.pair(x.idx, y.idx)
+        assert own(xi.u, xi.v, xi.norm(), (xi * xi).u, (xi * xi).v, ext.element(x, y).u)
+        assert own(*(part for k in (1, 2) for part in (sigma_k(ext, xi, k).u, sigma_k(ext, xi, k).v)))
+        poly = Poly(field, (x, y, 1)) * Poly(field, (y, x))
+        assert own(*poly.coeffs, poly.lead())
+
+
+def test_elements_are_equal_exactly_when_index_and_field_agree():
+    fields = [Field(3), Field(3, 2), Field(3, 3), Field(5)]
+    everything = [x for field in fields for x in field.elements()]
+    for x in everything[::3]:
+        for y in everything:
+            assert (x == y) == (x.idx == y.idx and x.field is y.field) == (x is y)
+            assert (x != y) == (not x == y)
+    assert len(set(everything)) == len(everything) and {hash(x) for x in Field(3, 2).elements()} == set(range(9))
+
+
+def test_element_sets_iterate_alike_in_every_process():
+    """An element hashes as its index, so a set of them iterates in the
+    same order whatever address its field has."""
+    src = str(pathlib.Path(quatlat.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "from quatlat.ff import Field; print([x.idx for x in set(Field(3, 2).elements())])"
+    outs = []
+    for _ in range(2):
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("k", [-1, 5, 7, 2.0, True])
+def test_element_index_must_be_an_int_in_range(k):
+    """-1 would read the table's last entry, 5 = q or 7 a wrong or no
+    entry, and 2.0 or True would pass for 2 or 1."""
+    field = Field(5)
+    with pytest.raises(FieldError, match="out of range for q=5"):
+        FieldElem(field, k)
+    with pytest.raises(FieldError, match="out of range for q=5"):
+        field.from_index(k)

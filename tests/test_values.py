@@ -1,7 +1,8 @@
 """Every value class derives from `ff.Value`: its slots cannot be
 assigned or deleted, two values built alike are equal and hash alike,
 and a value equals neither a value of another class nor its own key
-tuple.  `GenLabel` alone equals only itself."""
+tuple.  `GenLabel` equals only itself; so does `FieldElem`, of which
+each field makes one object per index."""
 
 import inspect
 
@@ -22,7 +23,8 @@ ALG = QuatAlgebra(EXT)
 A, B = GenLabel("A", "a"), GenLabel("B", "b")
 T = Poly.t(F5)
 
-# one builder per value class; each call builds a new value
+# one builder per value class; each call builds a new value, except for
+# FieldElem, whose calls return the field's one element of that index
 BUILDERS = {
     "FieldElem": lambda: F5.element(2),
     "QuadElem": lambda: EXT.element(1, 3),
@@ -44,6 +46,7 @@ BUILDERS = {
     "CheckResult": lambda: CheckResult("8d-free-reduction", True, "ok", 0.5),
 }
 NAMES = list(BUILDERS)
+IDENTITY = ("GenLabel", "FieldElem")  # the classes that equal only themselves
 
 
 def _value_classes():
@@ -62,13 +65,13 @@ def test_the_builders_cover_every_value_class():
 def test_only_value_defines_equality_and_immutability():
     for name, cls in _value_classes().items():
         own = {"__setattr__", "__delattr__", "__eq__", "__hash__"} & set(vars(cls))
-        assert own == ({"__eq__", "__hash__"} if name == "GenLabel" else set()), name
+        assert own == ({"__eq__", "__hash__"} if name in IDENTITY else set()), name
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_value_is_immutable_and_equal_by_key(name):
     x, y = BUILDERS[name](), BUILDERS[name]()
-    assert type(x).__name__ == name and x is not y
+    assert type(x).__name__ == name and (x is y) == (name == "FieldElem")
     slot = type(x).__slots__[0]
     with pytest.raises(AttributeError, match="immutable"):
         setattr(x, slot, getattr(y, slot))

@@ -56,7 +56,9 @@ def run_once(commit, bench_args):
     scratch = tempfile.mkdtemp(prefix="bench_pairs-")
     try:
         with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", commit))) as tar:
-            tar.extractall(scratch)
+            # the data filter, where tarfile has one, refuses links and paths out of `scratch`;
+            # 3.12+ warn (an error under -W error) when no filter is given
+            tar.extractall(scratch, **({"filter": tarfile.data_filter} if hasattr(tarfile, "data_filter") else {}))
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run([sys.executable, "perfbench/run.py", *bench_args], cwd=scratch, env=env,
                               capture_output=True, text=True)
