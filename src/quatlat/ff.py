@@ -35,6 +35,9 @@ read-only, it equals and hashes as `_key()`, the tuple of its slots,
 and it equals no value of another class.  `GenLabel` and `FieldElem`
 keep identity equality, as each is made once; fields, extensions,
 algebras and presentations are not values and compare by identity.
+Fields, extensions and algebras hash by their parameters, not by
+address, so a set of values iterates in the same order in every
+process.
 """
 
 from __future__ import annotations
@@ -212,17 +215,21 @@ class Field:
         return vec, tuple(chain.from_iterable(sums)), tuple(chain.from_iterable(rows)), neg, inv
 
     def element(self, value) -> "FieldElem":
-        """Coerce an int (constant embedding) or a coefficient vector."""
-        if isinstance(value, FieldElem):
+        """Coerce an int (constant embedding; not a bool), an element of
+        this field, or a coefficient vector: a tuple or list of at most e
+        ints.  Anything else is refused, not reinterpreted."""
+        if type(value) is FieldElem:
             if value.field is not self:
                 raise FieldError("element from a different field")
             return value
-        if isinstance(value, int):
-            return self.elems[value % self.p]
-        coeffs = [int(c) % self.p for c in value]
-        if len(coeffs) > self.e:
-            raise FieldError(f"coefficient vector longer than degree {self.e}")
-        return self.elems[sum(c * self.p**i for i, c in enumerate(coeffs))]
+        p = self.p
+        if type(value) is int:
+            return self.elems[value % p]
+        if type(value) not in (tuple, list) or any(type(c) is not int for c in value):
+            raise FieldError(f"{value!r} is neither an int, an element of {self!r} nor a vector of ints")
+        if len(value) > self.e:
+            raise FieldError(f"coefficient vector {value!r} is longer than degree {self.e}")
+        return self.elems[sum(c % p * p**i for i, c in enumerate(value))]
 
     def from_index(self, k: int) -> "FieldElem":
         """The k-th element in the fixed enumeration order (base-p digits)."""
@@ -230,6 +237,9 @@ class Field:
 
     def elements(self) -> Iterator["FieldElem"]:
         return iter(self.elems)
+
+    def __hash__(self):  # by value, so sets iterate alike in every process
+        return hash((self.p, self.e))
 
     def __repr__(self):
         return f"Field({self.p}, {self.e})"
@@ -385,6 +395,9 @@ class QuadExt:
     def elements(self) -> Iterator["QuadElem"]:
         q = self.field.q
         return (self.pair(u, v) for v in range(q) for u in range(q))
+
+    def __hash__(self):
+        return hash((self.field, self.c.idx))
 
     def __repr__(self):
         return f"QuadExt({self.field!r}, c={self.c!r})"

@@ -11,16 +11,18 @@ Parametric lattices come from field data (q, c, tau): the A alphabet is
 indexed by the norm fiber over -c, the B alphabet by the fiber over
 c*tau/(1-tau), and each swap entry is the unique solution (lambda, mu)
 of   xi + eta = lambda + mu,   xi * conj(eta) = lambda * conj(mu),
-given in closed form on index pairs of F_q[Z] (see solve_square).
-Named lattices are given by a literal list of squares over symbolic
-letters; the full table is expanded from the four readings of each
-square, never hand-entered.
+which `solve_square` gives in closed form on the index pairs (u, v) of
+u + vZ that key the letters.  Within a presentation a letter is its
+index, so the finite lemma checks compare letters.  Named lattices are
+given by a literal list of squares over symbolic letters; the full table
+is expanded from the four readings of each square, never hand-entered.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from . import rewrite
 from .ff import Field, FieldElem, FieldError, QuadExt, QuadElem, Value, norm_fiber, sigma_k
 from .quat import Poly, QuatAlgebra
 
@@ -273,30 +275,33 @@ def build_generators(params: LatticeParams):
     return fiber_a, fiber_b
 
 
-def solve_square(params: LatticeParams, xi: QuadElem, eta: QuadElem):
+def solve_square(params: LatticeParams, xi: tuple, eta: tuple) -> tuple:
     """The unique (lambda, mu) with xi+eta = lambda+mu and
-    xi*conj(eta) = lambda*conj(mu), N(lambda) = s_B, N(mu) = -c.
+    xi*conj(eta) = lambda*conj(mu), N(lambda) = s_B, N(mu) = -c, on
+    index pairs: xi, eta, lambda and mu are each the pair (u, v) of field
+    indices of u + vZ, and an index outside range(q) is refused.
 
     Substituting mu = xi+eta-lambda into the second equation gives
     xi*conj(eta) = lambda*conj(xi+eta) - s_B, so
-    lambda = (xi*conj(eta) + s_B) * (xi+eta) / N(xi+eta), on index pairs;
+    lambda = (xi*conj(eta) + s_B) * (xi+eta) / N(xi+eta);
     xi+eta != 0 as the fibers are disjoint.  Both norms, mu != 0 and the
     product are checked."""
     ext = params.ext
-    if xi.ext is not ext or eta.ext is not ext:
-        raise FieldError(f"({xi!r}, {eta!r}) are not both in {ext!r}")
     q, add, mul, neg, inv = ext.field.q, ext.field.add, ext.field.mul, ext.field.neg, ext.field.inv
+    (xu, xv), (eu, ev) = xi, eta
+    if not (0 <= xu < q and 0 <= xv < q and 0 <= eu < q and 0 <= ev < q):
+        raise FieldError(f"index pairs {xi}, {eta} are not both in range({q})")
     times, norm, s_a, s_b = ext._times, ext._norm, neg[ext.c.idx], params.b_norm_target.idx
-    tu, tv = add[xi.u.idx * q + eta.u.idx], add[xi.v.idx * q + eta.v.idx]
+    tu, tv = add[xu * q + eu], add[xv * q + ev]
     if not (tu or tv):
-        raise SquareSolveError(f"xi + eta = 0 for ({xi!r}, {eta!r})")
-    prod = pu, pv = times(xi.u.idx, xi.v.idx, eta.u.idx, neg[eta.v.idx])
+        raise SquareSolveError(f"xi + eta = 0 for ({ext.pair(*xi)!r}, {ext.pair(*eta)!r})")
+    prod = pu, pv = times(xu, xv, eu, neg[ev])
     n_inv = inv[norm(tu, tv)]
     lu, lv = times(add[pu * q + s_b], pv, mul[tu * q + n_inv], mul[tv * q + n_inv])
     mu, mv = add[tu * q + neg[lu]], add[tv * q + neg[lv]]
     if norm(lu, lv) != s_b or not (mu or mv) or norm(mu, mv) != s_a or times(lu, lv, mu, neg[mv]) != prod:
-        raise SquareSolveError(f"no solution for ({xi!r}, {eta!r})")
-    return ext.pair(lu, lv), ext.pair(mu, mv)
+        raise SquareSolveError(f"no solution for ({ext.pair(*xi)!r}, {ext.pair(*eta)!r})")
+    return (lu, lv), (mu, mv)
 
 
 def build_square_table(params: LatticeParams) -> Presentation:
@@ -308,10 +313,10 @@ def build_square_table(params: LatticeParams) -> Presentation:
     neg = params.field.neg
     inverse = {l: at[neg[u], neg[v]] for at in (at_a, at_b) for (u, v), l in at.items()}
     swap = {}
-    for la in labels_a:
-        for lb in labels_b:
-            lam, mu = solve_square(params, la.index, lb.index)
-            swap[(la, lb)] = (at_b[lam.u.idx, lam.v.idx], at_a[mu.u.idx, mu.v.idx])
+    for xi, la in at_a.items():
+        for eta, lb in at_b.items():
+            lam, mu = solve_square(params, xi, eta)
+            swap[la, lb] = (at_b[lam], at_a[mu])
     return Presentation(labels_a, labels_b, inverse, swap, params=params)
 
 
@@ -428,8 +433,6 @@ def letter_map(src: Presentation, dst: Presentation, images: dict) -> dict:
 
 def verify_homomorphism(src: Presentation, dst: Presentation, mapping: dict) -> dict:
     """Every defining relation of src must map to the identity of dst."""
-    from . import rewrite
-
     failures = []
     for l in src.alphabet_a + src.alphabet_b:
         w = mapping[l] + mapping[src.inverse[l]]
@@ -454,43 +457,33 @@ def check_finite_lemmas(pres: Presentation, powers=(1, 2, 3, 4)) -> dict:
     powers: a^(p^n) b^(p^n) = b'^(p^n) a'^(p^n) (decided by rewriting)
     iff k_tau divides n.
     """
-    from . import rewrite
-
     if pres.kind != "parametric":
         raise ParameterMismatchError("finite lemma checks need a parametric lattice")
     if any(n < 0 for n in powers):
         raise ValueError(f"powers must be >= 0, got {tuple(powers)}")
-    p = pres.params.field.p
+    # a letter is its index within a presentation, so indices compare as letters
+    p, swap, by_index = pres.params.field.p, pres.swap, pres.by_index
+    conj = {l: by_index[l.index.conj()] for l in by_index.values()}
     failures = []
-    entries = []
-    for (la, lb), (lb2, la2) in pres.swap.items():
-        entries.append((la.index, lb.index, lb2.index, la2.index, la, lb, lb2, la2))
-
-    for xi, eta, lam, mu, *_ in entries:
-        if (lam == eta) != (mu == xi):
-            failures.append(("eta-mu", repr(xi), repr(eta)))
-        if (lam == eta.conj()) != (mu == xi.conj()):
-            failures.append(("conj", repr(xi), repr(eta)))
+    for (la, lb), (lb2, la2) in swap.items():
+        if (lb2 is lb) != (la2 is la):
+            failures.append(("eta-mu", repr(la.index), repr(lb.index)))
+        if (lb2 is conj[lb]) != (la2 is conj[la]):
+            failures.append(("conj", repr(la.index), repr(lb.index)))
 
     # chained pairs: a_xi b_eta = b_lam a_mu and a_mu b_eta = b_lam a_chi
-    by_key = {(xi, eta): (lam, mu) for xi, eta, lam, mu, *_ in entries}
-    for xi, eta, lam, mu, *_ in entries:
-        lam2, chi = by_key[(mu, eta)]
-        if lam2 == lam and not (lam == eta and xi == mu and mu == chi):
-            failures.append(("chain", repr(xi), repr(eta)))
+    for (la, lb), (lb2, la2) in swap.items():
+        lb3, la3 = swap[la2, lb]
+        if lb3 is lb2 and not (lb2 is lb and la is la2 is la3):
+            failures.append(("chain", repr(la.index), repr(lb.index)))
 
     power_report = {}
-    for xi, eta, lam, mu, la, lb, lb2, la2 in entries:
-        if lam == eta:
+    for (la, lb), (lb2, la2) in swap.items():
+        if lb2 is lb:
             continue
         for n in powers:
             m = p**n
-            w = (
-                (la,) * m
-                + (lb,) * m
-                + (pres.inverse[la2],) * m
-                + (pres.inverse[lb2],) * m
-            )
+            w = (la,) * m + (lb,) * m + (pres.inverse[la2],) * m + (pres.inverse[lb2],) * m
             holds = rewrite.is_identity(pres, w)
             expected = n % pres.k_tau == 0
             power_report[(la.token(), lb.token(), n)] = holds

@@ -76,10 +76,14 @@ equation rather than an identity word.
 from __future__ import annotations
 
 from itertools import product
+from typing import TYPE_CHECKING
 
 from .ff import Value
-from .lattice import Presentation
 from .rewrite import append_letter, commutes, is_identity
+
+if TYPE_CHECKING:  # annotations only
+    from .lattice import Presentation
+
 
 class HypothesisViolatedError(ValueError):
     """The bounded language does not satisfy the shape the symbolic

@@ -308,6 +308,9 @@ class QuatAlgebra:
         # xi*F*Z = -c*v*F - u*ZF in the 1, Z, F, ZF basis
         return self.element(num * self.c, 0, den * -(self.c * xi.v), den * -xi.u)
 
+    def __hash__(self):
+        return hash(self.ext)
+
     def __repr__(self):
         return f"QuatAlgebra(q={self.field.q}, c={self.c!r})"
 

@@ -47,9 +47,12 @@ call concurrently.
 from __future__ import annotations
 
 from itertools import islice
+from typing import TYPE_CHECKING
 
 from .ff import Value
-from .lattice import GenLabel, Presentation, Word
+
+if TYPE_CHECKING:  # annotations only: lattice imports this module
+    from .lattice import GenLabel, Presentation, Word
 
 
 class MixedSidesError(ValueError):

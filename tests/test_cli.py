@@ -672,6 +672,23 @@ def test_lattice_file_with_non_int_field_parameters_names_the_flag(capsys, tmp_p
     assert captured.err.startswith(f"error: --lattice {str(path)!r}: field parameters"), captured.err
 
 
+@pytest.mark.parametrize("value", [[2.0], [True]], ids=["float", "true"])
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_lattice_file_with_non_int_coefficients_names_the_flag(capsys, tmp_path, command, value):
+    """[2.0] == [2], so a q5 file whose c was [2.0] used to pass verify;
+    [true] used to be read as [1]."""
+    path = tmp_path / "q5.json"
+    assert run(capsys, "construct", "--lattice", "q5", "--out", str(path)) == (0, "")
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert data["params"]["c"] == [2]
+    data["params"]["c"] = value
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main([command, "--lattice", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: --lattice {str(path)!r}: {value!r} is neither an int"), captured.err
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [

@@ -1,6 +1,7 @@
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -278,6 +279,7 @@ def test_element_keeps_its_vector_view():
     field = Field(3, 2)
     x = field.element((2, 1))
     assert x.idx == 5 and x.coeffs == (2, 1) and field.element(x.coeffs) == x
+    assert field.element([2, 1]) is field.element([-1, 4]) is field.element(x) is x
     assert repr(x) == "2+x" and repr(field.element(7)) == "1"
     assert field.element(-1) == field.from_index(2) and field.element(-1).idx == 2
 
@@ -362,6 +364,52 @@ def test_element_sets_iterate_alike_in_every_process():
     outs = []
     for _ in range(2):
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        (Field(5), True),  # was 1
+        (Field(3, 2), (1.7, 2.9)),  # was 1+2x, through int(c)
+        (Field(3, 2), ("2", "1")),  # was 2+x
+        (Field(5), 2.5),  # was a bare TypeError
+        (Field(5), [2.0]),  # [2.0] == [2]
+        (Field(5), [True]),
+        (Field(5), "2"),
+        (Field(5), None),
+        (Field(3, 2), range(2)),
+        (Field(3, 2), (1, 2, 3)),  # longer than e
+    ],
+    ids=["true", "float-vector", "str-vector", "float", "float-in-list", "true-in-list", "str", "none", "range", "long"],
+)
+def test_element_refuses_what_it_would_reinterpret(field, value):
+    with pytest.raises(FieldError, match=re.escape(repr(value))):
+        field.element(value)
+
+
+def test_fields_extensions_and_algebras_hash_alike_in_every_process():
+    """Fields, extensions and algebras hash by their parameters, so sets of
+    extension elements, polynomials and quaternions iterate in the same
+    order in two processes whose objects lie at other addresses."""
+    src = str(pathlib.Path(quatlat.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "padding = [object() for _ in range(int(sys.argv[1]))]\n"
+        "from quatlat.ff import Field, QuadExt, norm_fiber\n"
+        "from quatlat.quat import Poly, QuatAlgebra\n"
+        "f5 = Field(5)\n"
+        "ext = QuadExt(f5, 2)\n"
+        "print(list(set(norm_fiber(ext, 1))))\n"
+        "print(list(set(Poly(f5, (k, 1)) for k in range(5))))\n"
+        "print([x.coords for x in set(QuatAlgebra(ext).element(k, 1) for k in range(5))])\n"
+    )
+    outs = []
+    for padding in ("0", "4099"):
+        done = subprocess.run([sys.executable, "-c", code, padding], capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0, done.stderr
         outs.append(done.stdout)
     assert outs[0] == outs[1]

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from quatlat import ff
+from quatlat import ff, lattice
 from quatlat.ff import Field, FieldError, QuadExt, find_nonsquare, norm_fiber
 from quatlat.lattice import (
     ComplexError,
@@ -111,15 +113,23 @@ def test_fiber_sizes_various():
         assert not (set(fa) & set(fb))
 
 
+def _pair(x):
+    """The index pair (u, v) of x = u + vZ, as solve_square takes it."""
+    return x.u.idx, x.v.idx
+
+
 def test_solve_square_dictionary_relations(q3):
     ext = q3.ext
-    # the四 letter dictionary: a=1, b=-Z, x=1+Z, y=1-Z
+    # the four-letter dictionary: a=1, b=-Z, x=1+Z, y=1-Z
     a, b = ext.element(1), ext.element(0, -1)
     x, y = ext.element(1, 1), ext.element(1, -1)
-    assert solve_square(q3, a, x) == (-x, b)  # ax = x^-1 b
-    assert solve_square(q3, a, y) == (-y, -b)  # ay = y^-1 b^-1
-    assert solve_square(q3, a, -y) == (x, -a)  # ay^-1 = x a^-1
-    assert solve_square(q3, b, x) == (y, -b)  # bx = y b^-1
+    for (xi, eta), (lam, mu) in (
+        ((a, x), (-x, b)),  # ax = x^-1 b
+        ((a, y), (-y, -b)),  # ay = y^-1 b^-1
+        ((a, -y), (x, -a)),  # ay^-1 = x a^-1
+        ((b, x), (y, -b)),  # bx = y b^-1
+    ):
+        assert solve_square(q3, _pair(xi), _pair(eta)) == (_pair(lam), _pair(mu))
 
 
 def _scan_fiber(ext, s):
@@ -164,24 +174,51 @@ def test_closed_form_solve_square_matches_fiber_scan(p, e, k):
     scan_b = _scan_fiber(params.ext, params.b_norm_target)
     for xi in fiber_a:
         for eta in fiber_b:
-            assert [solve_square(params, xi, eta)] == _scan_square(params, scan_b, xi, eta)
+            found = [(_pair(lam), _pair(mu)) for lam, mu in _scan_square(params, scan_b, xi, eta)]
+            assert [solve_square(params, _pair(xi), _pair(eta))] == found
 
 
-def test_solve_square_refuses_elements_of_another_extension(q3, q5):
-    fiber_a3, fiber_b3 = build_generators(q3)
-    fiber_a5, fiber_b5 = build_generators(q5)
-    for xi, eta in ((fiber_a3[0], fiber_b3[0]), (fiber_a5[0], fiber_b3[0]), (fiber_a3[0], fiber_b5[0])):
-        with pytest.raises(FieldError):
-            solve_square(q5, xi, eta)
+def test_solve_square_refuses_indices_outside_the_field(q3, q5):
+    """A pair of F_5 indices is no pair of F_3 indices, and -1 is no index."""
+    xi, eta = (_pair(l.index) for l in next(iter(build_square_table(q3).swap)))
+    far = next(_pair(x) for x in build_generators(q5)[0] if max(_pair(x)) >= 3)
+    for bad in ((far, eta), (xi, far), ((-1, 0), eta), (xi, (0, -1))):
+        with pytest.raises(FieldError, match=r"not both in range\(3\)"):
+            solve_square(q3, *bad)
 
 
 def test_solve_square_refuses_a_system_without_solution(q5):
     fiber_a, _ = build_generators(q5)
     xi = fiber_a[0]
-    with pytest.raises(SquareSolveError):
-        solve_square(q5, xi, -xi)  # xi + eta = 0
-    with pytest.raises(SquareSolveError):
-        solve_square(q5, xi, xi)  # eta off the B fiber: N(lambda) != s_B
+    with pytest.raises(SquareSolveError, match=re.escape(f"xi + eta = 0 for ({xi!r}, {-xi!r})")):
+        solve_square(q5, _pair(xi), _pair(-xi))
+    with pytest.raises(SquareSolveError, match=re.escape(f"no solution for ({xi!r}, {xi!r})")):
+        solve_square(q5, _pair(xi), _pair(xi))  # eta off the B fiber: N(lambda) != s_B
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (3, 3)])
+def test_a_table_solves_each_entry_once_and_builds_no_extension_element(p, e, monkeypatch):
+    """build_square_table calls the module's solve_square once per entry,
+    the count the benchmark's traced oracle run checks, and, with its
+    fibers cached, builds no QuadElem."""
+    field = Field(p, e)
+    params = LatticeParams(QuadExt(field, find_nonsquare(field)), field.from_index(2))
+    build_square_table(params)
+    calls = {"solve": 0, "QuadElem": 0}
+    solve, init = lattice.solve_square, ff.QuadElem.__init__
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    def counted_init(self, *args):
+        calls["QuadElem"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(lattice, "solve_square", counted_solve)
+    monkeypatch.setattr(ff.QuadElem, "__init__", counted_init)
+    pres = build_square_table(params)
+    assert calls == {"solve": (field.q + 1) ** 2, "QuadElem": 0} and len(pres.swap) == (field.q + 1) ** 2
 
 
 def test_commuting_solution_shape(q5):

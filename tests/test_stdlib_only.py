@@ -1,7 +1,8 @@
 """The runtime stays standard-library only: every import in the package
-is relative or names a standard-library module.  And the package parses
-as the oldest Python that pyproject.toml declares, and importing it
-loads neither `dataclasses` nor `inspect`."""
+is relative or names a standard-library module, and each stands at the
+top of its module, none inside a function.  And the package parses as
+the oldest Python that pyproject.toml declares, and importing it loads
+neither `dataclasses` nor `inspect`."""
 
 import ast
 import os
@@ -27,6 +28,23 @@ def test_imports_are_relative_or_standard_library():
                 continue
             foreign += [(path.name, n) for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert not foreign
+
+
+def test_no_function_imports_a_module():
+    """A function-level import hides a cycle between modules; the ones
+    annotations need stand under `typing.TYPE_CHECKING` instead."""
+    sources = sorted(pathlib.Path(quatlat.__file__).parent.glob("*.py"))
+    assert sources
+    nested = []
+    for path in sources:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [
+                    (path.name, fn.name, node.lineno)
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert not nested
 
 
 def test_sources_parse_as_the_declared_python_floor():
