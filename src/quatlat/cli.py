@@ -121,9 +121,7 @@ def _parse_remap(arg: str | None):
             slot, sign = part.split(",")
             slot = int(slot)
         except ValueError:
-            raise ValueError(
-                f"--remap {arg!r} is not a list of slot,sign pairs like 0,+;1,+;3,+;2,-"
-            ) from None
+            raise ValueError(f"--remap {arg!r} is not a list of slot,sign pairs like 0,+;1,+;3,+;2,-") from None
         try:
             out.append((slot, _REMAP_SIGNS[sign.strip()]))
         except KeyError:
@@ -152,9 +150,7 @@ def _suite_reports(pres: Presentation, args, powers: tuple) -> dict:
     if suite in ("oracle", "all") and pres.kind == "parametric":
         applicable = True
         reports["oracle"] = lattice.oracle_check_table(pres)
-    if suite in ("matrix", "all") and (
-        pres.name == "gamma3" or (pres.params and pres.params.field.q == 3)
-    ):
+    if suite in ("matrix", "all") and (pres.name == "gamma3" or (pres.params and pres.params.field.q == 3)):
         applicable = True
         rels = quat.gamma3_matrix_relations()
         reports["matrix"] = {"ok": all(rels.values()), "relations": rels}
@@ -170,9 +166,8 @@ def _suite_reports(pres: Presentation, args, powers: tuple) -> dict:
     if suite in ("endo", "all"):
         endo = {}
         if pres.kind == "parametric":
-            endo["phi_k_tau"] = lattice.verify_homomorphism(
-                pres, pres, lattice.phi_k_map(pres, pres, pres.k_tau)
-            )["ok"]
+            phi = lattice.phi_k_map(pres, pres, pres.k_tau)
+            endo["phi_k_tau"] = lattice.verify_homomorphism(pres, pres, phi)["ok"]
         elif pres.name in presets.ENDOMORPHISMS:
             label, images = presets.ENDOMORPHISMS[pres.name]
             endo[label] = lattice.verify_homomorphism(pres, pres, lattice.letter_map(pres, pres, images))["ok"]
@@ -294,16 +289,8 @@ def cmd_compare(args) -> int:
     with _too_large("--bound", args.bound), _naming("--bound", args.bound):
         points = parikh.enumerate_parikh(pres, spec, args.bound)
     report = parikh.compare(points, expected, args.bound)
-    _dump(
-        {
-            "ok": report.ok,
-            "bound": args.bound,
-            "points": [list(p) for p in points],
-            "missing": [list(p) for p in report.missing],
-            "extra": [list(p) for p in report.extra],
-        },
-        args.out,
-    )
+    _dump({"ok": report.ok, "bound": args.bound, "points": [list(p) for p in points],
+           "missing": [list(p) for p in report.missing], "extra": [list(p) for p in report.extra]}, args.out)
     return 0 if report.ok else 1
 
 
@@ -331,11 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--lattice", required=True)
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=["oracle", "matrix", "lemmas", "endo", "orbits", "dict", "all"],
-    )
+    p.add_argument("--suite", default="all", choices=["oracle", "matrix", "lemmas", "endo", "orbits", "dict", "all"])
     p.add_argument("--powers", default="1,2", help="comma list of n for the p^n relation checks")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from . import rewrite
 from .ff import Field, FieldElem, FieldError, QuadExt, QuadElem, Value, norm_fiber, sigma_k
-from .quat import Poly, QuatAlgebra
+from .quat import QuatAlgebra, _factor, _proportional, _quat_mul
 
 
 class SquareSolveError(RuntimeError):
@@ -279,7 +279,7 @@ def solve_square(params: LatticeParams, xi: tuple, eta: tuple) -> tuple:
     """The unique (lambda, mu) with xi+eta = lambda+mu and
     xi*conj(eta) = lambda*conj(mu), N(lambda) = s_B, N(mu) = -c, on
     index pairs: xi, eta, lambda and mu are each the pair (u, v) of field
-    indices of u + vZ, and an index outside range(q) is refused.
+    indices of u + vZ; any index but a plain int in range(q) is refused.
 
     Substituting mu = xi+eta-lambda into the second equation gives
     xi*conj(eta) = lambda*conj(xi+eta) - s_B, so
@@ -289,8 +289,9 @@ def solve_square(params: LatticeParams, xi: tuple, eta: tuple) -> tuple:
     ext = params.ext
     q, add, mul, neg, inv = ext.field.q, ext.field.add, ext.field.mul, ext.field.neg, ext.field.inv
     (xu, xv), (eu, ev) = xi, eta
-    if not (0 <= xu < q and 0 <= xv < q and 0 <= eu < q and 0 <= ev < q):
-        raise FieldError(f"index pairs {xi}, {eta} are not both in range({q})")
+    if not (type(xu) is type(xv) is type(eu) is type(ev) is int
+            and 0 <= xu < q and 0 <= xv < q and 0 <= eu < q and 0 <= ev < q):
+        raise FieldError(f"index pairs {xi!r}, {eta!r} are not both in range({q}) as pairs of ints")
     times, norm, s_a, s_b = ext._times, ext._norm, neg[ext.c.idx], params.b_norm_target.idx
     tu, tv = add[xu * q + eu], add[xv * q + ev]
     if not (tu or tv):
@@ -378,22 +379,21 @@ def oracle_check_table(pres: Presentation) -> dict:
     """Check every swap entry as a projective identity in the quaternion
     algebra with f(t) = t; returns {'ok': bool, 'failures': [...], ...}.
 
-    Each entry a*b = b'*a' holds when the two products are equal mod K*,
-    which `Quat.same_class` decides by 2x2 minors, without normalizing."""
+    Each letter is embedded once, as the coordinate index tuples of its
+    generator and their s-scaled F-part; each entry a*b = b'*a' holds
+    when the two products, `quat._quat_mul` on those tuples, are equal
+    mod K*, which `quat._proportional` decides by 2x2 minors, without
+    normalizing.  No Quat or Poly is built per entry."""
     if pres.kind != "parametric":
         raise ParameterMismatchError("oracle check needs a parametric lattice")
     algebra = QuatAlgebra(pres.params.ext)
-    t = Poly.t(pres.params.field)
-    emb = {l: algebra.generator_quat(l.index, t) for l in pres.alphabet_a + pres.alphabet_b}
-    failures = []
+    emb = {l: _factor(algebra.generator_quat(l.index)) for l in pres.alphabet_a + pres.alphabet_b}
+    failures, field = [], algebra.field
     for (la, lb), (lb2, la2) in pres.swap.items():
-        if not (emb[la] * emb[lb]).same_class(emb[lb2] * emb[la2]):
+        ab, ba = _quat_mul(algebra, *emb[la], emb[lb][0]), _quat_mul(algebra, *emb[lb2], emb[la2][0])
+        if not _proportional(field, ab, ba):
             failures.append((la.token(), lb.token()))
-    return {
-        "ok": not failures,
-        "checked": len(pres.swap),
-        "failures": failures,
-    }
+    return {"ok": not failures, "checked": len(pres.swap), "failures": failures}
 
 
 def phi_k_map(src: Presentation, dst: Presentation, k: int) -> dict:

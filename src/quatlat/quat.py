@@ -9,25 +9,26 @@ arithmetic is lookups in the field's add/mul/neg/inv tables, and
 `coeffs` and `lead()` read the field's elements at those indices.  One
 kernel, `_dot`, forms sums of scaled products of index tuples, as many
 sums as it is given in one call: the sum or the product of two Polys is
-one call with one sum, and a Quat product is two calls, one for s*x2
-and s*x3 (s = t(t-1)) and one for the four coordinates.  Only the
-results are wrapped as Polys.  One division loop, `ff._reduce`, serves
+one call with one sum.  The quaternion product is written once, as
+`_quat_mul` on coordinate index tuples: one call for the four
+coordinates, given the left factor's s*x2 and s*x3 (s = t(t-1)) from
+`_factor`, one more call.  `Quat.__mul__` makes both calls and wraps
+the results as Polys; the oracle factors each letter once and keeps
+its products as index lists.  One division loop, `ff._reduce`, serves
 `divmod` and `poly_gcd`, which runs Euclid on index lists.
 
 Quaternion coordinates are polynomials: every generator c*f + xi*F*Z
 has polynomial coordinates once a rational f is cleared of its
 denominator, and the oracle compares products only mod K* = F_q(t)*.
-It does so by 2x2 minors, with no gcd: `Quat.same_class` asks for the
-same zero pattern and x_j*y_i = y_j*x_i for every j, with i the first
-nonzero coordinate, and forms the minors of the other nonzero
-coordinates in one kernel call.  A `ProjQuat`, the class the power
-lemma compares, is a normalized value with no group operations: the
-four coordinates are divided by their gcd and scaled so the first
-nonzero one is monic, and equality is then structural.  A `RatFun` is
-a generator parameter num/den in normal form (den monic and coprime to
-num) with no arithmetic of its own: generators read its parts, and the
-power lemma builds its g = f^m / (t(t-1))^((m-1)/2) in one construction
-from f's parts.
+It does so by 2x2 minors, with no gcd, in `_proportional`, the class
+test that `Quat.same_class` and `Mat3.proj_eq` share with it.  A
+`ProjQuat`, the class the power lemma compares, is a normalized value
+with no group operations: the four coordinates are divided by their
+gcd and scaled so the first nonzero one is monic, and equality is then
+structural.  A `RatFun` is a generator parameter num/den in normal form
+(den monic and coprime to num) with no arithmetic of its own:
+generators read its parts, and the power lemma builds its
+g = f^m / (t(t-1))^((m-1)/2) in one construction from f's parts.
 
 The module also carries the fixed 3x3 matrix quadruple over F_3(t)
 whose projective relations match the rank-(2,2) lattice presentation at
@@ -186,17 +187,16 @@ def _dot(field: Field, sums) -> list:
     return outs
 
 
-def _proportional(xs, ys) -> bool:
-    """True iff the Poly sequences xs and ys are nonzero and proportional
-    over F_q(t)*: the same zero pattern, and every minor x_j*y_i - y_j*x_i
-    is zero, with i the first nonzero entry.  The minor at i and those
-    where both entries are zero vanish, so one `_dot` call forms the
-    others."""
+def _proportional(field: Field, xs, ys) -> bool:
+    """True iff xs and ys, sequences of trimmed index sequences over
+    `field`, are nonzero and proportional over F_q(t)*: the same zero
+    pattern, and every minor x_j*y_i - y_j*x_i zero, with i the first
+    nonzero entry.  The minor at i and those where both entries are zero
+    vanish, so one `_dot` call forms the others."""
     if [not x for x in xs] != [not y for y in ys] or not any(xs):
         return False
-    f = xs[0].field
-    (xi, yi), *rest = [(x.idx, y.idx) for x, y in zip(xs, ys) if x]
-    return not any(map(any, _dot(f, [((1, xj, yi), (f.neg[1], yj, xi)) for xj, yj in rest])))
+    (xi, yi), *rest = [(x, y) for x, y in zip(xs, ys) if x]
+    return not any(map(any, _dot(field, [((1, xj, yi), (field.neg[1], yj, xi)) for xj, yj in rest])))
 
 
 def _as_poly(field: Field, value) -> Poly:
@@ -315,6 +315,33 @@ class QuatAlgebra:
         return f"QuatAlgebra(q={self.field.q}, c={self.c!r})"
 
 
+def _factor(quat: "Quat") -> tuple:
+    """quat as a left factor of `_quat_mul`: its coordinate index tuples x
+    and [s*x2, s*x3], s = t(t-1), formed once for a factor met often."""
+    x, s = [pl.idx for pl in quat.coords], quat.algebra.s.idx
+    return x, _dot(quat.algebra.field, (((1, s, x[2]),), ((1, s, x[3]),)))
+
+
+def _quat_mul(algebra: QuatAlgebra, x, sx, y) -> list:
+    """x*y as four trimmed index lists, for x and y the coordinate index
+    sequences of x0 + x1*Z + x2*F + x3*ZF and x, sx = `_factor` of x: the
+    one product formula, of `Quat.__mul__` and the oracle."""
+    f = algebra.field
+    (x0, x1, x2, x3), (sx2, sx3), (y0, y1, y2, y3) = x, sx, y
+    c, m1 = algebra.c.idx, f.neg[1]
+    mc = f.neg[c]
+    r = _dot(f, (
+        ((1, x0, y0), (c, x1, y1), (1, sx2, y2), (mc, sx3, y3)),
+        ((1, x0, y1), (1, x1, y0), (m1, sx2, y3), (1, sx3, y2)),
+        ((1, x0, y2), (c, x1, y3), (1, x2, y0), (mc, x3, y1)),
+        ((1, x0, y3), (1, x1, y2), (m1, x2, y1), (1, x3, y0)),
+    ))
+    for ri in r:
+        while ri and not ri[-1]:
+            ri.pop()
+    return r
+
+
 class Quat(Value):
     """A quaternion x0 + x1*Z + x2*F + x3*ZF with polynomial coords."""
 
@@ -334,20 +361,8 @@ class Quat(Value):
         if isinstance(other, (Poly, FieldElem, int)):
             return Quat(self.algebra, tuple(a * other for a in self.coords))
         algebra = self.algebra
-        f = algebra.field
-        x0, x1, x2, x3 = (pl.idx for pl in self.coords)
-        y0, y1, y2, y3 = (pl.idx for pl in other.coords)
-        c, m1 = algebra.c.idx, f.neg[1]
-        mc = f.neg[c]
-        s = algebra.s.idx
-        sx2, sx3 = _dot(f, (((1, s, x2),), ((1, s, x3),)))
-        r = _dot(f, (
-            ((1, x0, y0), (c, x1, y1), (1, sx2, y2), (mc, sx3, y3)),
-            ((1, x0, y1), (1, x1, y0), (m1, sx2, y3), (1, sx3, y2)),
-            ((1, x0, y2), (c, x1, y3), (1, x2, y0), (mc, x3, y1)),
-            ((1, x0, y3), (1, x1, y2), (m1, x2, y1), (1, x3, y0)),
-        ))
-        return Quat(algebra, tuple(_poly(f, ri) for ri in r))
+        r = _quat_mul(algebra, *_factor(self), [pl.idx for pl in other.coords])
+        return Quat(algebra, tuple(_poly(algebra.field, ri) for ri in r))
 
     def conj(self) -> "Quat":
         x0, x1, x2, x3 = self.coords
@@ -367,7 +382,8 @@ class Quat(Value):
     def same_class(self, other: "Quat") -> bool:
         """True iff both are nonzero and equal mod K*; unlike comparing
         `projective()`, this takes no gcd."""
-        return self.algebra is other.algebra and _proportional(self.coords, other.coords)
+        return self.algebra is other.algebra and _proportional(
+            self.algebra.field, *([pl.idx for pl in quat.coords] for quat in (self, other)))
 
     def __repr__(self):
         names = ("", "Z", "F", "ZF")
@@ -442,7 +458,7 @@ class Mat3(Value):
 
     def proj_eq(self, other: "Mat3") -> bool:
         """True iff the matrices are nonzero and proportional over K*."""
-        return _proportional(sum(self.rows, ()), sum(other.rows, ()))
+        return _proportional(self.field, *([pl.idx for row in m.rows for pl in row] for m in (self, other)))
 
     def __repr__(self):
         return "Mat3(" + ", ".join(repr(list(r)) for r in self.rows) + ")"

@@ -442,6 +442,11 @@ OUTPUT_DIGESTS = {
         0, "3412d212f27117a8932e7ee6d7ed1b54142fce4506f4ecf5e1abffb9fe09901f"),
     "verify --lattice p=7,e=1,c=3,tau=2 --suite all": (
         0, "b7457ea77a2d9850b3711da4486e710de596e8c573829e2b5a6fbc205600783d"),
+    # the oracle on the benchmark's largest table, and on an e = 3 field
+    "verify --lattice p=11,e=1,c=2,tau=3 --suite oracle": (
+        0, "a14411e6f6444ee313a8ea82df14cba582c29773313ac1e81a451e61de457030"),
+    "verify --lattice p=3,e=3,c=2:0:0,tau=0:1:0 --suite oracle": (
+        0, "e5303be8ebec3002766607ea9a0ba7fe83fe4d64465ba526e678642573b38779"),
 }
 
 

@@ -1,8 +1,9 @@
 import re
+from collections import Counter
 
 import pytest
 
-from quatlat import ff, lattice
+from quatlat import ff, lattice, quat
 from quatlat.ff import Field, FieldError, QuadExt, find_nonsquare, norm_fiber
 from quatlat.lattice import (
     ComplexError,
@@ -25,7 +26,7 @@ from quatlat.lattice import (
     verify_homomorphism,
 )
 from quatlat.presets import GAMMA3_DICTIONARY
-from quatlat.quat import Poly, QuatAlgebra
+from quatlat.quat import Poly, ProjQuat, Quat, QuatAlgebra
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,16 @@ def test_solve_square_refuses_indices_outside_the_field(q3, q5):
             solve_square(q3, *bad)
 
 
+@pytest.mark.parametrize("bad", [(True, 0), (1.0, 0), (1, None)], ids=["bool", "float", "None"])
+def test_solve_square_refuses_indices_that_are_not_ints(q3, bad):
+    """True is not read as 1, and a float or None is refused by name, not
+    by a bare TypeError, on either side."""
+    with pytest.raises(FieldError, match=re.escape(f"index pairs {bad!r}, (1, 1) are not both in range(3)")):
+        solve_square(q3, bad, (1, 1))
+    with pytest.raises(FieldError, match=re.escape(f"index pairs (1, 0), {bad!r} are not both in range(3)")):
+        solve_square(q3, (1, 0), bad)
+
+
 def test_solve_square_refuses_a_system_without_solution(q5):
     fiber_a, _ = build_generators(q5)
     xi = fiber_a[0]
@@ -277,6 +288,83 @@ def test_oracle_names_a_single_wrong_entry(p, e):
     value = next(v for v in pres.swap.values() if v != pres.swap[key])
     rep = oracle_check_table(_altered(pres, swap={**pres.swap, key: value}))
     assert rep == {"ok": False, "checked": (p**e + 1) ** 2, "failures": [(key[0].token(), key[1].token())]}
+
+
+def _reference_failures(pres, cache):
+    """The keys whose two sides differ mod K*, by an independent route:
+    the quaternion product written out in Poly operators, and the sides
+    compared by ProjQuat equality (a gcd, not the minors of
+    `quat._proportional`).  `cache` keeps each letter pair's class."""
+    algebra = QuatAlgebra(pres.params.ext)
+    c, s = algebra.c, algebra.s
+
+    def side(g, h):
+        if (g, h) not in cache:
+            (x0, x1, x2, x3), (y0, y1, y2, y3) = (algebra.generator_quat(l.index).coords for l in (g, h))
+            cache[g, h] = ProjQuat(Quat(algebra, (
+                x0 * y0 + (x1 * y1) * c + (x2 * y2) * s - (x3 * y3) * c * s,
+                x0 * y1 + x1 * y0 - (x2 * y3) * s + (x3 * y2) * s,
+                x0 * y2 + (x1 * y3) * c + x2 * y0 - (x3 * y1) * c,
+                x0 * y3 + x1 * y2 - x2 * y1 + x3 * y0,
+            )))
+        return cache[g, h]
+
+    return [(la.token(), lb.token()) for (la, lb), (lb2, la2) in pres.swap.items() if side(la, lb) != side(lb2, la2)]
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3)],
+                         ids=["q=3", "q=5", "q=7", "q=9", "q=11", "q=25", "q=27"])
+def test_oracle_matches_the_reference_on_tables_and_corrupted_copies(p, e):
+    """Every entry's verdict, on the table and on two corrupted copies:
+    two values swapped, and one value pointed at another valid pair."""
+    field = Field(p, e)
+    pres = build_square_table(LatticeParams(QuadExt(field, find_nonsquare(field)), field.from_index(2)))
+    keys, cache = list(pres.swap), {}
+    k1, k2, k3 = keys[1], keys[len(keys) // 2], keys[-1]
+    swapped = _altered(pres, swap={**pres.swap, k1: pres.swap[k2], k2: pres.swap[k1]})
+    moved = _altered(pres, swap={**pres.swap, k3: next(v for v in pres.swap.values() if v != pres.swap[k3])})
+    assert oracle_check_table(pres) == {"ok": True, "checked": len(keys), "failures": []}
+    assert _reference_failures(pres, cache) == []
+    for table, wrong in ((swapped, 2), (moved, 1)):
+        rep = oracle_check_table(table)
+        assert rep["failures"] == _reference_failures(table, cache) and len(rep["failures"]) == wrong
+        assert rep["checked"] == len(keys) and not rep["ok"]
+
+
+def test_the_oracle_shares_one_product_and_one_class_test(monkeypatch):
+    """oracle_check_table builds a Quat, and Polys, only to embed each of
+    the 2(q+1) letters, and reaches `quat._quat_mul` twice and
+    `quat._proportional` once per entry; `Quat.__mul__`, `Quat.same_class`
+    and `Mat3.proj_eq` reach the same two functions."""
+    pres = build_square_table(LatticeParams.make(7, 1, 3, 2))
+    algebra, letters = QuatAlgebra(pres.params.ext), pres.alphabet_a + pres.alphabet_b
+    assert lattice._quat_mul is quat._quat_mul and lattice._proportional is quat._proportional
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(quat.Quat, "__init__", counted("Quat", quat.Quat.__init__))
+    monkeypatch.setattr(quat, "_poly", counted("Poly", quat._poly))
+    for name in ("_quat_mul", "_proportional"):
+        wrapper = counted(name, getattr(quat, name))
+        for module in (quat, lattice):
+            monkeypatch.setattr(module, name, wrapper)
+    embedded = [algebra.generator_quat(l.index) for l in letters]
+    per_embedding = dict(calls)
+    assert per_embedding["Quat"] == len(letters) == 2 * (pres.params.field.q + 1)
+    calls.clear()
+    assert oracle_check_table(pres)["ok"]
+    assert calls == {**per_embedding, "_quat_mul": 2 * len(pres.swap), "_proportional": len(pres.swap)}
+    calls.clear()
+    x, y = embedded[:2]
+    assert (x * y).same_class(x * y * Poly.t(algebra.field))
+    mats = quat.gamma3_matrices()
+    assert (mats["a"] * mats["b"]).proj_eq(mats["a"] * mats["b"])
+    assert calls["_quat_mul"] == 2 and calls["_proportional"] == 2
 
 
 def test_sigma_k_on_b_fiber(q3):
