@@ -439,7 +439,13 @@ class Mat3(Value):
         """Entries given as little-endian integer coefficient lists in t."""
         return cls(field, [[Poly(field, e) for e in row] for row in rows])
 
+    def _same_field(self, other: "Mat3") -> None:
+        # other's indices mean nothing in self.field's tables
+        if other.field is not self.field:
+            raise FieldError("matrix over a different field")
+
     def __mul__(self, other: "Mat3") -> "Mat3":
+        self._same_field(other)
         f, cols = self.field, tuple(zip(*other.rows))
         return Mat3(f, [
             [_poly(f, _dot(f, [[(1, x.idx, y.idx) for x, y in zip(row, col)]])[0]) for col in cols]
@@ -458,6 +464,7 @@ class Mat3(Value):
 
     def proj_eq(self, other: "Mat3") -> bool:
         """True iff the matrices are nonzero and proportional over K*."""
+        self._same_field(other)
         return _proportional(self.field, *([pl.idx for row in m.rows for pl in row] for m in (self, other)))
 
     def __repr__(self):

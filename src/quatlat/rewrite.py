@@ -21,6 +21,12 @@ as a label, looks its code up in the presentation's `_code` and
 rewrites the code lists, and `normal_form` decodes them once.  A letter
 of another presentation has no code there and raises `KeyError`.
 
+`append_letter` reads the letter's side once and branches on it, and
+`_push_through` walks the part from the right with a running index, so
+each swap reads one letter of the part and writes its replacement.  The
+order is 'AB' or 'BA', checked once per word by `normal_form`, not once
+per letter.
+
 A run of same-side letters that must cross the other component is
 pushed through it as a whole when both have at least `_RUN_MIN` = 56
 letters, the size at which the two ways cost the same (`_push_run`).
@@ -84,20 +90,37 @@ class NormalForm(Value):
 
 def _push_through(row, word):
     """Rewrite word * c as c' * word' in place, for a one-sided code list
-    and the row of a letter c of the other side; returns the code of c'."""
-    for i in range(len(word) - 1, -1, -1):
-        row, word[i] = row[word[i]]
+    and the row of a letter c of the other side; returns the code of c'.
+
+    The loop walks `word` from the right with a running index, so each
+    cell reads its letter once and writes the letter that replaces it."""
+    i = len(word)
+    for y in reversed(word):  # each write lands where the iterator has just read
+        i -= 1
+        row, word[i] = row[y]
     return row[-1]
 
 
 def append_letter(pres: Presentation, a_part: list, b_part: list, g: GenLabel, order: str = "AB") -> None:
     """One step of normal-form computation: tack the letter g on the
     right of the element a_part * b_part (order 'AB') or b_part * a_part
-    ('BA'), whose parts are lists of letter codes, changed in place."""
+    ('BA'), whose parts are lists of letter codes, changed in place.
+
+    `order` is 'AB' or 'BA' and is not checked again for each letter:
+    `normal_form` checks it before `_parts` passes it on, and `_products`
+    passes the default.  The letter's side is read once.  An A letter
+    crosses the B part when that part stands to the right (order 'AB')
+    and is nonempty, a B letter the A part when order is 'BA'; then the
+    letter is freely reduced into its own part."""
     c = pres._code[g]
-    own, other = (a_part, b_part) if g.side == "A" else (b_part, a_part)
-    if other and g.side != order[1]:  # the other part stands to the right
-        c = _push_through(pres._rows[c], other)
+    if g.side == "A":
+        if b_part and order == "AB":
+            c = _push_through(pres._rows[c], b_part)
+        own = a_part
+    else:
+        if a_part and order == "BA":
+            c = _push_through(pres._rows[c], a_part)
+        own = b_part
     if own and own[-1] == pres._inv_code[c]:
         own.pop()
     else:

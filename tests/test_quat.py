@@ -4,7 +4,7 @@ import random
 import pytest
 
 import quatlat.quat
-from quatlat.ff import Field, QuadExt, _power, norm_fiber, sigma_k
+from quatlat.ff import Field, FieldError, QuadExt, _power, norm_fiber, sigma_k
 from quatlat.lattice import LatticeParams, build_generators
 from quatlat.quat import (
     Mat3,
@@ -461,6 +461,20 @@ def test_adjugate_is_projective_inverse():
     eye = Mat3(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for m in mats.values():
         assert (m * m.adjugate()).proj_eq(eye)
+
+
+@pytest.mark.parametrize("p, r", [(3, 5), (5, 3)])
+def test_matrices_over_two_fields_are_refused(p, r):
+    """Each matrix's entries are indices into its own field's tables, so a
+    product or a class test across two fields is refused, in either order."""
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    left = Mat3(Field(p), eye)
+    right = Mat3(Field(r), [[4 * x for x in row] for row in eye])
+    with pytest.raises(FieldError, match="different field"):
+        left.proj_eq(right)
+    with pytest.raises(FieldError, match="different field"):
+        left * right
+    assert left.proj_eq(Mat3(Field(p), eye)) and (left * left).proj_eq(left)
 
 
 def test_element_refuses_rational_coordinates(alg3):

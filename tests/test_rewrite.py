@@ -5,7 +5,7 @@ import re
 import pytest
 
 import quatlat.rewrite
-from quatlat.lattice import LatticeParams, build_square_table, named_presentation
+from quatlat.lattice import LatticeParams, build_square_table, expand_squares, named_presentation
 from quatlat.parikh import BoundedLanguageSpec, PowerDiagonal, _directions, _products
 from quatlat.presets import get_presentation
 from quatlat.rewrite import (
@@ -138,20 +138,89 @@ def test_ab_ba_agree_as_group_elements(g3):
         assert is_identity(g3, ab.a_part + ab.b_part + g3.invert_word(ba.b_part + ba.a_part))
 
 
-def test_append_letter_matches_normal_form(g3):
+def test_append_letter_matches_normal_form(table_zoo):
     """append_letter changes the two code lists it is given and returns
-    nothing; letter by letter they reach the dict reference's form."""
+    nothing; letter by letter they reach the dict reference's form, on
+    every presentation of the zoo, in both orders, for short words and
+    for words long enough that letters cross parts of a hundred letters."""
     rng = random.Random(44)
-    letters = g3.alphabet_a + g3.alphabet_b
-    for order in ("AB", "BA"):
-        for _ in range(100):
-            w = rand_word(rng, g3, rng.randint(0, 12))
-            u, v = [], []
-            for letter in w:
-                assert append_letter(g3, u, v, letter, order) is None
-            assert all(type(c) is int for c in u + v)
-            got = (tuple(letters[c] for c in u), tuple(letters[c] for c in v))
-            assert got == reference_normal_form(g3, w, order)
+    for pres in table_zoo:
+        letters = pres.alphabet_a + pres.alphabet_b
+        for order in ("AB", "BA"):
+            for length in [rng.randint(0, 12) for _ in range(20)] + [rng.randint(100, 200) for _ in range(8)]:
+                w = rand_word(rng, pres, length)
+                u, v = [], []
+                for letter in w:
+                    assert append_letter(pres, u, v, letter, order) is None
+                assert all(type(c) is int for c in u + v)
+                got = (tuple(letters[c] for c in u), tuple(letters[c] for c in v))
+                assert got == reference_normal_form(pres, w, order), (pres, order, length)
+
+
+def test_push_through_an_empty_part_returns_the_letter(table_zoo):
+    for pres in table_zoo:
+        for c in range(len(pres._rows)):
+            part = []
+            assert _push_through(pres._rows[c], part) == c and part == []
+
+
+def test_push_through_rewrites_the_part_in_place(g3):
+    """The part is the same list object afterwards, holding the dict
+    reference's letters: for a B part v and an A letter c, v * c = c' * v'
+    reads (v', c') off the swaps taken right to left."""
+    rng = random.Random(45)
+    code, letters = g3._code, g3.alphabet_a + g3.alphabet_b
+    unswap = {v: k for k, v in g3.swap.items()}
+    for _ in range(50):
+        v = rand_word(rng, g3, rng.randint(1, 20), "B")
+        c = rng.choice(g3.alphabet_a)
+        part = [code[l] for l in v]
+        before, g, moved = part, c, []
+        for letter in reversed(v):
+            g, out = unswap[(letter, g)]
+            moved.append(out)
+        assert letters[_push_through(g3._rows[code[c]], part)] == g
+        assert part is before and len(part) == len(v)
+        assert tuple(letters[y] for y in part) == tuple(reversed(moved))
+
+
+def two_stack_is_identity(pres, w):
+    """The word problem of F_A x F_B, in which every A letter commutes with
+    every B letter: each side freely reduced on a stack of its own."""
+    stacks = {"A": [], "B": []}
+    for g in w:
+        stack = stacks[g.side]
+        if stack and stack[-1] == pres.inverse[g]:
+            stack.pop()
+        else:
+            stack.append(g)
+    return not stacks["A"] and not stacks["B"]
+
+
+def test_is_identity_on_f2_times_f2_matches_two_stacks():
+    """A control with a known word problem: the squares a*x = x*a make
+    the group F_2 x F_2, so is_identity must agree with two free
+    reductions, one per side, on random words and on their w * w^-1."""
+    f2f2 = expand_squares(["a", "b"], ["x", "y"], [(s, t, t, s) for s in "ab" for t in "xy"], name="F2xF2")
+    rng = random.Random(46)
+    trivial = 0
+    for _ in range(150):
+        w = rand_word(rng, f2f2, rng.randint(0, 200))
+        for word in (w, w + f2f2.invert_word(w)):
+            assert is_identity(f2f2, word) == two_stack_is_identity(f2f2, word), word
+            trivial += two_stack_is_identity(f2f2, word)
+    assert 150 <= trivial < 300
+
+
+def test_two_stacks_are_wrong_on_every_gamma3_relator(g3):
+    """The two-stack decision is not gamma3's word problem: it calls every
+    defining relator a * b * a2^-1 * b2^-1 nontrivial, so the control above
+    can fail."""
+    inv = g3.inverse
+    relators = [(a, b, inv[a2], inv[b2]) for (a, b), (b2, a2) in g3.swap.items()]
+    assert len(relators) == 16
+    for word in relators:
+        assert is_identity(g3, word) and not two_stack_is_identity(g3, word), word
 
 
 def test_identity_examples(g3):

@@ -87,6 +87,19 @@ def append_letter():
     return "gamma3: 1,000 append_letter calls, a seeded random word letter by letter", run
 
 
+def push_through():
+    pres = build_square_table(_params(5, 1))
+    rng = random.Random(4)
+    rows = [pres._rows[pres._code[rng.choice(pres.alphabet_a)]] for _ in range(2000)]
+    b_part = [pres._code[rng.choice(pres.alphabet_b)] for _ in range(54)]
+
+    def run():
+        part = list(b_part)
+        for row in rows:
+            rewrite._push_through(row, part)
+    return "q=5: 2,000 seeded A letters, each pushed through a 54-letter B part", run
+
+
 def normal_form():
     pres = build_square_table(_params(5, 1))
     word = _word(pres, random.Random(3), 400)
@@ -102,6 +115,7 @@ LAYERS = {
     "lattice.oracle_check_table.q81": oracle(3, 4),
     "lattice.build_square_table.q243": square_table,
     "rewrite.append_letter": append_letter,
+    "rewrite.push_through.L54": push_through,
     "rewrite.normal_form.L400": normal_form,
 }
 
