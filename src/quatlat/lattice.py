@@ -138,7 +138,10 @@ class Presentation:
     entries at letters of its own side are None.  Each inverse and swap
     entry is checked as it lands, totality by a count, and the other
     three readings of each of `squares`, met in (token(a), token(b))
-    order, on codes."""
+    order, on codes.  `_band` starts empty and holds the band tables of
+    `rewrite._push_run` by side, each built on first use; it is made here
+    because an attribute added after __init__ slows every later attribute
+    read of the presentation."""
 
     def __init__(
         self,
@@ -206,6 +209,7 @@ class Presentation:
             seen.update(x * n + y for (x, y), _ in readings)
             squares.append(Square(a, b, letters[cb2], letters[ca2], commuting=(cb2 == cb and ca2 == ca)))
         self.squares = tuple(squares)
+        self._band = {}
 
     def _token_keys(self):
         """The A x B keys in (token(a), token(b)) order, that of `squares` and the JSON table."""
@@ -501,6 +505,8 @@ _NAMED = {
     "gamma3": ("a b", "x y", ("a x x^-1 b", "a y y^-1 b^-1", "a y^-1 x a^-1", "b x y b^-1")),
     "gamma4": ("a b", "x y", ("a x y b", "a y y^-1 b", "b x x a^-1", "b y x^-1 a")),
     "gamma32": ("a b c", "x y", ("a x x b", "a y y b", "b x y a", "b y x c", "c x y c", "c y x a")),
+    # every square commutes: F_2 x F_2, the group the corollary sets Gamma_tau against
+    "f2xf2": ("a b", "x y", ("a x x a", "a y y a", "b x x b", "b y y b")),
 }
 _NAMED_CACHE: dict = {}
 

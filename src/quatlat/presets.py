@@ -1,7 +1,7 @@
 """Bundled lattices, their checked facts, and the reproducible example
 languages.
 
-Presets: the three named lattices (expanded from their squares, and
+Presets: the four named lattices (expanded from their squares, and
 cached, by `lattice.named_presentation`) and the two smallest parametric ones.
 The letter maps, as data for `lattice.letter_map` checked by
 `lattice.verify_homomorphism` (the power endomorphisms of gamma3 and
@@ -19,7 +19,7 @@ from .lattice import LatticeParams, Presentation, build_square_table, named_pres
 from .parikh import BoundedLanguageSpec, LinearSet, PowerDiagonal, SemilinearSet
 from .rewrite import orbit_size, parse_word
 
-PRESET_NAMES = ("gamma3", "gamma4", "gamma32", "q3", "q5")
+PRESET_NAMES = ("gamma3", "gamma4", "gamma32", "f2xf2", "q3", "q5")
 
 _PARAM_PRESETS = {
     "q3": (3, 1, -1, -1),

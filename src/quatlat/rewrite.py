@@ -29,25 +29,32 @@ per letter.
 
 A run of same-side letters that must cross the other component is
 pushed through it as a whole when both have at least `_RUN_MIN` = 56
-letters, the size at which the two ways cost the same (`_push_run`).
-The run's swaps form a rectangle; the swap where run letter i meets part
-letter j needs only the swap where i met the letter before j and the one
-where i - 1 met j, so the swaps of one anti-diagonal depend only on the
-one before and are done together.  A swap is coded as one byte, state
-index times n_y plus letter index, so this needs n_A * n_B <= 256 (q <=
-13 for the parametric lattices; larger alphabets keep the row loop), and
-two `bytes.translate` calls give the next states and the next letters of
-a whole anti-diagonal.  Every letter outside such a run still goes
-through `append_letter`, and `_push_through`, the row loop, stays the
-oracle the push is tested against.  The normal forms of
-a^(p^n) b^(p^n) ... in `quatlat verify --lattice q5 --suite lemmas
---powers 1,2,3,4` took 0.38 s with the row loop alone and take 0.17 s,
-and `verify --lattice q3 --suite all --powers 1,2,3,4,5,6` went from
-0.36 to 0.16 s (best of five, 2-vCPU Xeon, Python 3.11).
+letters (`_push_run`).  The run's swaps form a rectangle; the swap where
+run letter i meets part letter j needs only the swap where i met the
+letter before j and the one where i - 1 met j, so the swaps of one
+anti-diagonal depend only on the one before and are done together.  A
+byte carries h consecutive run letters and one letter of the part, with
+h the largest count for which n_s^h * n_y <= 256, n_s and n_y being the
+sizes of the run's alphabet and of the other: h is 3 on 4 + 4 letters
+(gamma3, gamma4, q3), 2 on gamma32 and q5, 1 from q = 7 on, and q > 13
+(n_A * n_B > 256) keeps the row loop.  Two `bytes.translate` calls give
+the next states and the next letters of a whole anti-diagonal, and the
+len(run) % h letters left over go through the row loop.  The two tables
+depend only on the presentation and the side, and are built on first use
+into the dict `pres._band` that `Presentation.__init__` makes, so no
+attribute is added to a presentation later (that slows every attribute
+read of it).  Every letter outside such a run still goes through
+`append_letter`, and `_push_through`, the row loop, stays the oracle the
+push is tested against.  The normal forms of a^(p^n) b^(p^n) ... in
+`quatlat verify --lattice q5 --suite lemmas --powers 1,2,3,4` take 54-60
+ms, against 82-85 ms with one run letter per byte, and those of `verify
+--lattice q3 --suite all --powers 1,2,3,4,5,6` 43-44 ms against 83-85 ms
+(best of five in one process, 2-vCPU Xeon, Python 3.11).
 
-The word problem is: both components empty.  The tables are never
-mutated and each call owns its lists, so everything here is safe to
-call concurrently.
+The word problem is: both components empty.  The swap tables are never
+mutated, a band table is stored whole (two callers that build it at once
+store equal ones), and each call owns its lists, so everything here is
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -128,9 +135,38 @@ def append_letter(pres: Presentation, a_part: list, b_part: list, g: GenLabel, o
 
 
 # A run of at least this many letters, crossing a part of at least as
-# many, takes the anti-diagonal push: at 56 x 56 the two pushes cost about
-# the same on gamma3, gamma32 and q5 (2-vCPU Xeon, Python 3.11)
+# many, takes the anti-diagonal push.  With h run letters per byte the two
+# pushes cost the same near 34 x 34 on gamma3, gamma32 and q5, and at
+# 56 x 56 the band takes 0.7 of the row loop's time (best of 200, 2-vCPU
+# Xeon, Python 3.11); the bound is kept from when a byte held one run
+# letter and the two broke even at 56 x 56
 _RUN_MIN = 56
+
+
+def _band_tables(pres: Presentation, s0: int):
+    """The band tables of the runs whose codes start at s0 (0 for A runs,
+    n_A for B runs), stored in `pres._band` on first use.  With ns and ny
+    the sizes of the run's alphabet and of the other one, h is the largest
+    count with ns^h * ny <= 256, and the byte S * ny + y, S the sum of
+    s_t * ns^t over t < h, is the cell where the letter y meets h run
+    letters of indices s_t.  It pushes y through them in turn: `to_state`
+    gives the S' of the h pushed letters times ny, `to_letter` the last y,
+    and `codes[S' * ny]` the h pushed codes; `weights` holds the ns^t * ny."""
+    rows, n_a = pres._rows, len(pres.alphabet_a)
+    ns = n_a if s0 == 0 else len(rows) - n_a
+    y0, ny = n_a - s0, len(rows) - ns
+    h = max(t for t in range(1, 8) if ns**t * ny <= 256)
+    to_state, to_letter = bytearray(256), bytearray(256)
+    for s in range(ns**h):
+        for y in range(ny):
+            out, c = 0, y + y0
+            for t in range(h):
+                row, c = rows[s // ns**t % ns + s0][c]
+                out += (row[-1] - s0) * ns**t
+            to_state[s * ny + y], to_letter[s * ny + y] = out * ny, c - y0
+    codes = [bytes([v // ny // ns**t % ns + s0 for t in range(h)]) for v in range(256)]
+    band = pres._band[s0] = (tuple(ns**t * ny for t in range(h)), bytes(to_state), bytes(to_letter), codes)
+    return band
 
 
 def _push_run(pres: Presentation, run, other: list) -> bytes:
@@ -139,47 +175,45 @@ def _push_run(pres: Presentation, run, other: list) -> bytes:
     place; returns the codes pushed out, in order, as bytes: the codes
     len(run) calls of `_push_through` would return.
 
-    In cell (i, j) run letter i meets letter j of `other`, counted from
-    the right; its inputs are the outputs of cells (i, j - 1) and
-    (i - 1, j), so the cells of one anti-diagonal are independent and go
-    through as one byte string, the band.  A cell is the byte s * ny + y,
-    with s and y the indices of its two letters in their alphabets and ny
-    the size of other's, so this needs n_A * n_B <= 256; one translate
-    gives each cell's next state times ny, one its next letter.  After each
-    step the first state leaves the band once it has crossed all of other
-    and the last letter once it has met the whole run, and the next run
-    letter and the next letter of other join at the two ends: each letter
-    moves one place on against the states."""
-    n_a, rows = len(pres.alphabet_a), pres._rows
-    if run[0] < n_a:
-        s0, y0, y1 = 0, n_a, len(rows)
-    else:
-        s0, y0, y1 = n_a, 0, n_a
-    ny = y1 - y0
-    cells = [row[y] for row in rows[s0 : s0 + len(rows) - ny] for y in range(y0, y1)]
-    to_state = bytes([(nxt[-1] - s0) * ny for nxt, _ in cells]).ljust(256, b"\0")
-    to_letter = bytes([out - y0 for _, out in cells]).ljust(256, b"\0")
-    k, n = len(run), len(other)
-    entering_states = bytes((c - s0) * ny for c in run)
+    The run is read as k = len(run) // h blocks of h letters, each one
+    super-state of the side's band tables (`_band_tables`).  In cell (i, j)
+    block i meets letter j of `other`, counted from the right; its inputs
+    are the outputs of cells (i, j - 1) and (i - 1, j), so the cells of
+    one anti-diagonal are independent and go through as one byte string,
+    the band.  One translate gives each cell's next super-state times ny,
+    one its next letter.  After each step the first state leaves the band
+    once it has crossed all of other and the last letter once it has met
+    every block, and the next block and the next letter of other join at
+    the two ends: each letter moves one place on against the states.  The
+    len(run) % h letters left over then go through `_push_through`."""
+    s0 = 0 if run[0] < len(pres.alphabet_a) else len(pres.alphabet_a)
+    weights, to_state, to_letter, codes = pres._band.get(s0) or _band_tables(pres, s0)
+    y0, h, rows = len(pres.alphabet_a) - s0, len(weights), pres._rows
+    k, n = len(run) // h, len(other)
+    if not k:
+        return bytes([_push_through(rows[c], other) for c in run])
+    as_int = int.from_bytes
+    # no byte of these sums borrows or carries: each ends as a cell, below 256
+    base = as_int(bytes([s0]) * k, "big")
+    blocks = sum((as_int(bytes(run[t : k * h : h]), "big") - base) * w for t, w in enumerate(weights))
+    entering_states = blocks.to_bytes(k, "big")
     entering_letters = bytes(y - y0 for y in reversed(other))
     states, letters = entering_states[:1], entering_letters[:1]
     pushed, passed = bytearray(), bytearray()
-    as_int = int.from_bytes
     for d in range(k + n - 1):
-        # no byte of the sum carries: each is a cell, below 256
         z = (as_int(states, "big") + as_int(letters, "big")).to_bytes(len(states), "big")
         states, letters = z.translate(to_state), z.translate(to_letter)
         if d >= n - 1:  # the first state in the band has crossed all of other
             pushed.append(states[0])
             states = states[1:]
-        if d >= k - 1:  # the last letter has met the whole run
+        if d >= k - 1:  # the last letter has met every block
             passed.append(letters[-1])
             letters = letters[:-1]
         states += entering_states[d + 1 : d + 2]
         letters = entering_letters[d + 1 : d + 2] + letters
     other.clear()  # so the old and the new letters are never held at once
     other.extend(y + y0 for y in reversed(passed))
-    return bytes(s // ny + s0 for s in pushed)
+    return b"".join(map(codes.__getitem__, pushed)) + bytes([_push_through(rows[c], other) for c in run[k * h :]])
 
 
 def _parts(pres: Presentation, w: Word, order: str):

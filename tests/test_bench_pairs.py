@@ -29,7 +29,7 @@ def test_one_tiny_pair_writes_a_bench_file(tmp_path):
         result = json.loads(report["final_json_lines"][side]["1"])
         assert result["correct"] and result["failed"] == 0 and result["attempted"] > 0
         raw = report["raw_rows"][side]["1"]
-        assert sorted(raw) == ["parikh/host_slowdown", "parikh/setup_raw_s", "parikh/wall_best_raw_s"]
+        assert sorted(raw) == ["parikh/host_slowdown", "parikh/jobs2_s", "parikh/setup_raw_s", "parikh/wall_best_raw_s"]
         assert all(value > 0 for value in raw.values())
     wall = report["pairs"]["parikh/wall_s"]
     assert wall["change_lower_in"] in ("0/1", "1/1") and wall["parent_q1_q3"][0] == wall["parent_median"]

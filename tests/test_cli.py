@@ -405,6 +405,8 @@ CONSTRUCT_DIGESTS = {
     "gamma3": "89aeba4f4b708e921cbdc76069648d511512ba5737fddfc76e8fd6999a677ff6",
     "gamma4": "967a6b8f1071f641f2f86398fea86be459262148ae66bf9177273b3006ec64eb",
     "gamma32": "4141679dd5ba79cd3966c731ed50bdf16d419092b56699cd71c0e44a5342d114",
+    # F_2 x F_2, named from its four commuting squares
+    "f2xf2": "a3038d750d7f91e93351afc8fef77e2c555c8005d518923dbf73a7d8ec38171c",
 }
 
 

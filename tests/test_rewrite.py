@@ -5,13 +5,14 @@ import re
 import pytest
 
 import quatlat.rewrite
-from quatlat.lattice import LatticeParams, build_square_table, expand_squares, named_presentation
+from quatlat.lattice import _NAMED, LatticeParams, build_square_table, expand_squares, named_presentation
 from quatlat.parikh import BoundedLanguageSpec, PowerDiagonal, _directions, _products
 from quatlat.presets import get_presentation
 from quatlat.rewrite import (
     _RUN_MIN,
     MixedSidesError,
     NotApplicableError,
+    _band_tables,
     _push_run,
     _push_through,
     append_letter,
@@ -198,10 +199,12 @@ def two_stack_is_identity(pres, w):
 
 
 def test_is_identity_on_f2_times_f2_matches_two_stacks():
-    """A control with a known word problem: the squares a*x = x*a make
-    the group F_2 x F_2, so is_identity must agree with two free
-    reductions, one per side, on random words and on their w * w^-1."""
-    f2f2 = expand_squares(["a", "b"], ["x", "y"], [(s, t, t, s) for s in "ab" for t in "xy"], name="F2xF2")
+    """A control with a known word problem: the named lattice f2xf2, whose
+    squares a*x = x*a make the group F_2 x F_2, so is_identity must agree
+    with two free reductions, one per side, on random words and on their
+    w * w^-1."""
+    f2f2 = named_presentation("f2xf2")
+    assert all(square.commuting for square in f2f2.squares) and len(f2f2.squares) == 4
     rng = random.Random(46)
     trivial = 0
     for _ in range(150):
@@ -522,3 +525,88 @@ def test_letters_outside_a_pushed_run_go_through_append_letter(g3, monkeypatch):
     word = (a,) * n + (x,) * n + (g3.inverse[b],) * n + (x,) * n
     assert is_identity(g3, word) == PowerDiagonal(9, 4).contains((n,) * 4)
     assert calls == list(word[: 2 * n] + word[3 * n :])
+
+
+# h, the run letters per band byte, of A runs and of B runs on each
+# table_zoo presentation: gamma3, gamma4, gamma32, q3, q5 and q9
+BLOCKS = [(3, 3), (3, 3), (2, 2), (3, 3), (2, 2), (1, 1)]
+
+
+def test_the_band_carries_as_many_run_letters_per_byte_as_fit(table_zoo):
+    for pres, blocks in zip(table_zoo, BLOCKS):
+        for side, h in zip("AB", blocks):
+            s0 = 0 if side == "A" else len(pres.alphabet_a)
+            weights, to_state, to_letter, codes = pres._band.get(s0) or _band_tables(pres, s0)
+            ny = len(pres.alphabet_b if side == "A" else pres.alphabet_a)
+            ns = len(pres.alphabet_a) + len(pres.alphabet_b) - ny
+            assert len(weights) == h and ns**h * ny <= 256 < ns ** (h + 1) * ny, (pres, side)
+            assert weights == tuple(ns**t * ny for t in range(h))
+            assert len(to_state) == len(to_letter) == len(codes) == 256
+
+
+def test_push_run_matches_the_row_loop_at_every_block_residue(table_zoo):
+    """Runs shorter than one block, of one block and a letter, and long
+    runs of every length mod h, through parts of at least _RUN_MIN."""
+    rng = random.Random(53)
+    for pres, blocks in zip(table_zoo, BLOCKS):
+        for side, h in zip("AB", blocks):
+            own, other_side = (pres.alphabet_a, pres.alphabet_b) if side == "A" else (pres.alphabet_b, pres.alphabet_a)
+            lengths = sorted({1, 2, h - 1, h, h + 1} - {0} | {T + r for r in range(h)})
+            for k, n in itertools.product(lengths, (T, T + 7)):
+                run = bytes(pres._code[rng.choice(own)] for _ in range(k))
+                other = [pres._code[rng.choice(other_side)] for _ in range(n)]
+                rows_other = list(other)
+                expected = [_push_through(pres._rows[c], rows_other) for c in run]
+                assert list(_push_run(pres, run, other)) == expected, (pres, side, k, n)
+                assert other == rows_other, (pres, side, k, n)
+
+
+def test_band_tables_are_built_once_per_presentation_and_side(monkeypatch):
+    builds = []
+
+    def counting(pres, s0):
+        builds.append((pres, s0))
+        return _band_tables(pres, s0)
+
+    monkeypatch.setattr(quatlat.rewrite, "_band_tables", counting)
+    rng = random.Random(54)
+    a_names, b_names, squares = _NAMED["gamma3"]  # a fresh gamma3, whose tables no other test has built
+    fresh_gamma3 = expand_squares(a_names.split(), b_names.split(), map(str.split, squares))
+    for pres in (build_square_table(LatticeParams.make(5, 1, 2, 3)), fresh_gamma3):
+        for _ in range(3):
+            word = long_run_word(rng, pres, [("B", T), ("A", 2 * T), ("B", T + 1)])
+            for order in ("AB", "BA"):
+                nf = normal_form(pres, word, order)
+                assert (nf.a_part, nf.b_part) == reference_normal_form(pres, word, order)
+        assert sorted(s0 for p, s0 in builds if p is pres) == [0, len(pres.alphabet_a)]
+        assert sorted(pres._band) == [0, len(pres.alphabet_a)]
+
+
+def test_pushes_add_no_attribute_to_the_presentation():
+    """An attribute set on a presentation after __init__ slows every later
+    attribute read of it, so the band tables go into the dict __init__
+    makes."""
+    pres = build_square_table(LatticeParams.make(5, 1, 2, 3))
+    names = sorted(vars(pres))
+    assert "_band" in names and not pres._band
+    word = long_run_word(random.Random(55), pres, [("A", 2 * T), ("B", T + 2), ("A", T + 1), ("B", 3 * T)])
+    normal_form(pres, word)
+    normal_form(pres, word, "BA")
+    is_identity(pres, word + pres.invert_word(word))
+    _push_run(pres, [pres._code[pres.alphabet_b[0]]] * T, [pres._code[pres.alphabet_a[1]]] * T)
+    assert sorted(pres._band) == [0, len(pres.alphabet_a)]
+    assert sorted(vars(pres)) == names
+
+
+def test_push_run_on_f2_times_f2_moves_no_letter():
+    """Every square of f2xf2 commutes, so a push returns its run and
+    leaves the part as it was, on both sides and at every run length."""
+    f2f2 = named_presentation("f2xf2")
+    rng = random.Random(56)
+    for side in "AB":
+        own, other_side = (f2f2.alphabet_a, f2f2.alphabet_b) if side == "A" else (f2f2.alphabet_b, f2f2.alphabet_a)
+        for k in range(1, 201):
+            run = bytes(f2f2._code[rng.choice(own)] for _ in range(k))
+            part = [f2f2._code[rng.choice(other_side)] for _ in range(rng.randint(1, 200))]
+            other = list(part)
+            assert _push_run(f2f2, run, other) == run and other == part, (side, k)

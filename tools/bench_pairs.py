@@ -12,9 +12,10 @@ The output file names each side's commit and the hash of its `src`
 tree, and holds every run's final JSON line and its unscaled rows
 (`host_slowdown`, `wall_best_raw_s` and `setup_raw_s`, read from the
 metric lines run.py prints), so that an outlying `wall_s` can be traced
-to its speed probes, and, per end-to-end metric, both sides' medians
-and quartiles (`statistics.quantiles`, exclusive method) and the number
-of pairs in which the change was lower.  --claim and --in-process fill the free-text fields of the same
+to its speed probes, with the workloads' group rows (`long_word_s`,
+`largest_table_s` and `jobs2_s`), and, per end-to-end metric, both
+sides' medians and quartiles (`statistics.quantiles`, exclusive method)
+and the number of pairs in which the change was lower.  --claim and --in-process fill the free-text fields of the same
 name.  Standard library only; runs one benchmark process at a time.
 """
 
@@ -32,7 +33,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RAW_ROWS = ("host_slowdown", "wall_best_raw_s", "setup_raw_s")
+RAW_ROWS = ("host_slowdown", "wall_best_raw_s", "setup_raw_s", "long_word_s", "largest_table_s", "jobs2_s")
 
 
 def _git(*args):

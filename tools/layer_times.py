@@ -24,6 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from quatlat import rewrite  # noqa: E402
 from quatlat.ff import Field, QuadExt, find_nonsquare, norm_fiber  # noqa: E402
 from quatlat.lattice import LatticeParams, build_square_table, named_presentation, oracle_check_table  # noqa: E402
+from quatlat.presets import get_presentation  # noqa: E402
 from quatlat.quat import Poly, ProjQuat, QuatAlgebra, poly_gcd  # noqa: E402
 
 
@@ -100,6 +101,18 @@ def push_through():
     return "q=5: 2,000 seeded A letters, each pushed through a 54-letter B part", run
 
 
+def push_run(name, n):
+    def layer():
+        pres = get_presentation(name)
+        rng = random.Random(5)
+        run = bytes(pres._code[rng.choice(pres.alphabet_a)] for _ in range(n))
+        b_part = [pres._code[rng.choice(pres.alphabet_b)] for _ in range(n)]
+        rewrite._push_run(pres, run, list(b_part))  # builds the band tables, once per presentation and side
+        return f"{name}: a seeded {n:,}-letter A run pushed through a {n:,}-letter B part", lambda: rewrite._push_run(
+            pres, run, list(b_part))
+    return layer
+
+
 def normal_form():
     pres = build_square_table(_params(5, 1))
     word = _word(pres, random.Random(3), 400)
@@ -116,6 +129,8 @@ LAYERS = {
     "lattice.build_square_table.q243": square_table,
     "rewrite.append_letter": append_letter,
     "rewrite.push_through.L54": push_through,
+    "rewrite.push_run.L1458": push_run("gamma3", 1458),
+    "rewrite.push_run.q5.L125": push_run("q5", 125),
     "rewrite.normal_form.L400": normal_form,
 }
 
