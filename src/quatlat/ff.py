@@ -471,10 +471,12 @@ def sigma_k(ext: QuadExt, xi: QuadElem, k: int) -> QuadElem:
 
     The negative exponent of (-c) is taken via the field inverse.  The
     scale depends on xi only through its norm, so each (k, N(xi)) scale
-    is found once and kept on the extension.
+    is found once and kept on the extension.  xi must be an element of
+    ext: its indices mean nothing in another extension's tables.
     """
     if k < 1:
         raise FieldError("k must be >= 1")
+    xi = ext.element(xi)
     u, v = xi.u.idx, xi.v.idx
     norm = ext._norm(u, v)
     scale = ext._scales.get((k, norm))

@@ -386,8 +386,18 @@ def oracle_check_table(pres: Presentation) -> dict:
     Each letter is embedded once, as the coordinate index tuples of its
     generator and their s-scaled F-part; each entry a*b = b'*a' holds
     when the two products, `quat._quat_mul` on those tuples, are equal
-    mod K*, which `quat._proportional` decides by 2x2 minors, without
-    normalizing.  No Quat or Poly is built per entry."""
+    mod K*, which `quat._proportional` decides without normalizing.  No
+    Quat or Poly is built per entry.
+
+    On a valid entry the two products are equal, so the class test's
+    equality exit decides it and no minor is formed.  For a = ct + xi*FZ
+    and b = ct + eta*FZ, the 1-coordinate of a*b is
+    c^2*t^2 - c*s*Re(xi*conj(eta)), s = t(t-1): its t^2 and t
+    coefficients c^2 - cK and cK, K = Re(xi*conj(eta)), are not both
+    zero as c != 0, so it is never zero.  `solve_square`'s relation
+    xi*conj(eta) = lambda*conj(mu) gives b'*a' the same 1-coordinate,
+    so the products can be proportional only by the scalar 1.  Unequal
+    products go on to the 2x2 minors, so each verdict is the minors'."""
     if pres.kind != "parametric":
         raise ParameterMismatchError("oracle check needs a parametric lattice")
     algebra = QuatAlgebra(pres.params.ext)

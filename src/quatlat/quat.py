@@ -20,15 +20,18 @@ its products as index lists.  One division loop, `ff._reduce`, serves
 Quaternion coordinates are polynomials: every generator c*f + xi*F*Z
 has polynomial coordinates once a rational f is cleared of its
 denominator, and the oracle compares products only mod K* = F_q(t)*.
-It does so by 2x2 minors, with no gcd, in `_proportional`, the class
-test that `Quat.same_class` and `Mat3.proj_eq` share with it.  A
+It does so in `_proportional`, the class test that `Quat.same_class`
+and `Mat3.proj_eq` share with it: equal index lists at once, others by
+2x2 minors, with no gcd.  On a valid square table both products of
+every entry are equal (see `lattice.oracle_check_table`).  A
 `ProjQuat`, the class the power lemma compares, is a normalized value
 with no group operations: the four coordinates are divided by their
 gcd and scaled so the first nonzero one is monic, and equality is then
 structural.  A `RatFun` is a generator parameter num/den in normal form
 (den monic and coprime to num) with no arithmetic of its own:
 generators read its parts, and the power lemma builds its
-g = f^m / (t(t-1))^((m-1)/2) in one construction from f's parts.
+g = f^m / (t(t-1))^((m-1)/2) in one construction from f's parts, once
+per (f, m) and algebra.
 
 The module also carries the fixed 3x3 matrix quadruple over F_3(t)
 whose projective relations match the rank-(2,2) lattice presentation at
@@ -189,10 +192,13 @@ def _dot(field: Field, sums) -> list:
 
 def _proportional(field: Field, xs, ys) -> bool:
     """True iff xs and ys, sequences of trimmed index sequences over
-    `field`, are nonzero and proportional over F_q(t)*: the same zero
-    pattern, and every minor x_j*y_i - y_j*x_i zero, with i the first
-    nonzero entry.  The minor at i and those where both entries are zero
-    vanish, so one `_dot` call forms the others."""
+    `field`, are nonzero and proportional over F_q(t)*.  Equal sequences
+    are proportional by 1 when nonzero, and decided at once; the others
+    need the same zero pattern, and every minor x_j*y_i - y_j*x_i zero,
+    with i the first nonzero entry.  The minor at i and those where both
+    entries are zero vanish, so one `_dot` call forms the others."""
+    if xs == ys:
+        return any(xs)
     if [not x for x in xs] != [not y for y in ys] or not any(xs):
         return False
     (xi, yi), *rest = [(x, y) for x, y in zip(xs, ys) if x]
@@ -288,6 +294,7 @@ class QuatAlgebra:
             algebra.ext, algebra.field, algebra.c = ext, ext.field, ext.c
             algebra.s = Poly(ext.field, (0, -1, 1))  # t(t-1) = t^2 - t
             algebra.one = algebra.element(1)
+            algebra._lemma_params = {}  # verify_power_lemma's g by (num, den, m)
             algebra = cls._made.setdefault(ext, algebra)
         return algebra
 
@@ -414,14 +421,21 @@ def verify_power_lemma(algebra: QuatAlgebra, xi: QuadElem, f, k: int) -> bool:
     """Check a_xi(f)^(p^k) against the closed form a_xi'(g) with
     xi' the norm-twisted scaling of xi and g = f^(p^k) / (t(t-1))^((p^k-1)/2).
 
-    Coefficient degrees grow linearly with p^k; keep p^k <= 81 or so."""
+    g does not depend on xi, and callers loop xi at a fixed (f, k): it is
+    built once per (num, den, p^k) into the algebra's `_lemma_params`.
+    It is a pure function of that key, so two callers that build it at
+    once store equal values.  Coefficient degrees grow linearly with
+    p^k; keep p^k <= 81 or so."""
     if k < 1:
         raise ValueError("k must be >= 1")
     m = algebra.field.p**k
     num, den = _num_den(algebra.field, f)
     lhs = (algebra.generator_quat(xi, f) ** m).projective()
     xi_prime = sigma_k(algebra.ext, xi, k)
-    g = RatFun(num**m, den**m * algebra.s ** ((m - 1) // 2))
+    key = num.idx, den.idx, m
+    g = algebra._lemma_params.get(key)
+    if g is None:
+        g = algebra._lemma_params[key] = RatFun(num**m, den**m * algebra.s ** ((m - 1) // 2))
     return lhs == algebra.generator_quat(xi_prime, g).projective()
 
 

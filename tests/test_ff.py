@@ -18,6 +18,7 @@ from quatlat.ff import (
     norm_fiber,
     sigma_k,
 )
+from quatlat.lattice import LatticeParams, build_generators
 from quatlat.quat import Poly
 
 
@@ -234,6 +235,21 @@ def test_sigma_k_fixes_a_fiber(ext3):
     for k in (1, 2):
         for xi in norm_fiber(ext3, ext3.field.one):
             assert sigma_k(ext3, xi, k) == xi
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sigma_k_refuses_an_element_of_another_extension(k):
+    """An F_7 index read in F_5's tables, or under another non-square c,
+    is refused; the extension's own elements are still scaled."""
+    params = LatticeParams.make(7, 1, 3, 2)
+    fiber_a, fiber_b = build_generators(params)
+    fibers = fiber_a + fiber_b
+    for other in (QuadExt(Field(5), 2), QuadExt(params.field, 5)):
+        assert other is not params.ext
+        for xi in fibers:
+            with pytest.raises(FieldError, match="different extension"):
+                sigma_k(other, xi, k)
+    assert all(sigma_k(params.ext, xi, k).ext is params.ext for xi in fibers)
 
 
 def _index(field, coeffs):

@@ -331,6 +331,22 @@ def test_oracle_matches_the_reference_on_tables_and_corrupted_copies(p, e):
         assert rep["checked"] == len(keys) and not rep["ok"]
 
 
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2), (3, 3)],
+                         ids=["q=3", "q=5", "q=7", "q=9", "q=11", "q=25", "q=27"])
+def test_a_valid_entry_has_two_equal_products(p, e):
+    """On a valid table the two sides of every entry are equal, not just
+    proportional: their 1-coordinates are one nonzero polynomial, fixed by
+    Re(xi*conj(eta)) = Re(lambda*conj(mu)).  So every entry takes
+    `_proportional`'s equality exit."""
+    field = Field(p, e)
+    pres = build_square_table(LatticeParams(QuadExt(field, find_nonsquare(field)), field.from_index(2)))
+    algebra = QuatAlgebra(pres.params.ext)
+    emb = {l: quat._factor(algebra.generator_quat(l.index)) for l in pres.alphabet_a + pres.alphabet_b}
+    for (la, lb), (lb2, la2) in pres.swap.items():
+        ab = quat._quat_mul(algebra, *emb[la], emb[lb][0])
+        assert ab == quat._quat_mul(algebra, *emb[lb2], emb[la2][0]) and ab[0], (la, lb)
+
+
 def test_the_oracle_shares_one_product_and_one_class_test(monkeypatch):
     """oracle_check_table builds a Quat, and Polys, only to embed each of
     the 2(q+1) letters, and reaches `quat._quat_mul` twice and

@@ -7,8 +7,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "tools", "layer_times.py")
-SMALL = ("ff.mul", "quat.poly_gcd", "quat.ProjQuat", "lattice.oracle_check_table.q11", "rewrite.append_letter",
-         "rewrite.push_through.L54", "rewrite.push_run.q5.L125", "rewrite.normal_form.L400")
+SMALL = ("ff.mul", "quat.poly_gcd", "quat.ProjQuat", "quat.verify_power_lemma.q9", "lattice.oracle_check_table.q11",
+         "rewrite.append_letter", "rewrite.push_through.L54", "rewrite.push_run.q5.L125", "rewrite.normal_form.L400")
 
 
 def test_small_layers_print_one_json_line_each():

@@ -16,7 +16,8 @@ from quatlat.parikh import (
     membership,
     power_diagonal_prediction,
 )
-from quatlat.presets import EXAMPLES, GAMMA3_DICTIONARY, first_commuting_language, get_presentation
+from quatlat.presets import EXAMPLES, GAMMA3_DICTIONARY, _diag_orbit_set, first_commuting_language, get_presentation
+from quatlat.quat import Mat3, gamma3_matrices
 from quatlat.rewrite import parse_word
 
 
@@ -81,6 +82,36 @@ def test_signed_membership_remap(g3):
     assert not membership(g3, spec, (3, -3, 3, 3))
     assert membership(g3, spec, (27, -27, -27, 27))
     assert membership(g3, spec, (0, 5, -5, 0))
+
+
+def _matrix_word_is_identity(names, exps):
+    """The word prod(names[j]^exps[j]) of gamma3 letters in the 3x3 matrix
+    model, without rewriting: each block matrix raised to its exponent,
+    the adjugate for a negative one, the product compared to the
+    identity mod K*."""
+    mats = gamma3_matrices()
+    identity = Mat3.from_int_polys(mats["a"].field, [[[1], [0], [0]], [[0], [1], [0]], [[0], [0], [1]]])
+    product = identity
+    for name, e in zip(names, exps):
+        block = mats[name] if e >= 0 else mats[name].adjugate()
+        for _ in range(abs(e)):
+            product = product * block
+    return product.proj_eq(identity)
+
+
+def test_the_disputed_signed_points_agree_in_three_derivations(g3):
+    """The six points on which check 7b's stated set and its enumeration
+    disagree, decided by rewriting (`membership`), by the 3x3 matrix
+    model, and by the orbit set `presets._diag_orbit_set`: all three find
+    the identity at (1,1,1,1), (-1,-1,-1,-1) and +-(3,-3,-3,3), and not
+    at +-(3,-3,3,3).  The check's stated set is left as it is."""
+    ex = EXAMPLES["gamma3/a;x;b;x"]
+    spec, orbit = ex.spec(g3), _diag_orbit_set(10)
+    identities = [(1, 1, 1, 1), (-1, -1, -1, -1), (3, -3, -3, 3), (-3, 3, 3, -3)]
+    for point in identities + [(3, -3, 3, 3), (-3, 3, -3, -3)]:
+        want = point in identities
+        in_matrices = _matrix_word_is_identity(ex.words.split(";"), spec.exponents_from_point(point))
+        assert membership(g3, spec, point) == in_matrices == (point in orbit) == want, point
 
 
 def test_signed_unsigned_agree_on_orthant(g3):

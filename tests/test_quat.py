@@ -403,6 +403,43 @@ def test_power_lemma_refuses_a_missing_twist(monkeypatch, params, refused):
     assert sum(moved) == refused
 
 
+def _closed_form(algebra, xi, f, k):
+    """a_xi(f)^m against a_xi'(g) with nothing cached and no RatFun: the
+    integral representative c*num^m + den^m*s^((m-1)/2)*xi'*F*Z, written
+    out, and the two compared by `same_class`."""
+    m = algebra.field.p**k
+    one = Poly.const(algebra.field, 1)
+    num, den = (Poly.t(algebra.field), one) if f is None else (f, one) if isinstance(f, Poly) else (f.num, f.den)
+    xi2, scale = sigma_k(algebra.ext, xi, k), den**m * algebra.s ** ((m - 1) // 2)
+    c = algebra.c
+    rhs = algebra.element(num**m * c, 0, scale * -(c * xi2.v), scale * -xi2.u)
+    return (algebra.generator_quat(xi, f) ** m).same_class(rhs)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [LatticeParams.make(5, 1, 2, 3), LatticeParams.make(3, 2, [1, 1], [0, 1])],
+    ids=["q5", "F9"],
+)
+def test_power_lemma_builds_each_parameter_once(monkeypatch, params):
+    """Parameters f interleaved with k = 2, 1, 2: each verdict is the
+    uncached closed form's, and g is built once per (f, k), the first
+    time the pair is met."""
+    algebra, fibers = _lemma_cases(params)
+    t = Poly.t(algebra.field)
+    monkeypatch.setattr(algebra, "_lemma_params", {})
+    built = []
+    init = RatFun.__init__
+    monkeypatch.setattr(RatFun, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    fs = [None, t + 1, RatFun(t, t + 1)]
+    del built[:]
+    for k in (2, 1, 2):
+        for xi in fibers:
+            for f in fs:
+                assert verify_power_lemma(algebra, xi, f, k) == _closed_form(algebra, xi, f, k)
+    assert len(built) == len(algebra._lemma_params) == 2 * len(fs)
+
+
 def test_generator_parameter_spellings(alg5):
     """f may be None (for t), a Poly, an int or a RatFun; each spelling of
     one value gives one generator, and a zero f is refused in each."""

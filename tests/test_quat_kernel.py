@@ -1,15 +1,17 @@
 """The index-level product kernel and the gcd-free projective comparison
 against slow references: the quaternion product by its defining formula
 in Poly operators, the polynomial product by sympy and by schoolbook
-FieldElem arithmetic, and `same_class` by `ProjQuat` equality."""
+FieldElem arithmetic, `same_class` by `ProjQuat` equality, and the class
+test `_proportional` by all 2x2 minors in Poly operators."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from quatlat import quat  # noqa: E402
 from quatlat.ff import Field, QuadExt, find_nonsquare  # noqa: E402
-from quatlat.quat import Poly, QuatAlgebra  # noqa: E402
+from quatlat.quat import Poly, QuatAlgebra, _dot  # noqa: E402
 
 FIELDS = {q: Field(p, e) for q, p, e in ((3, 3, 1), (5, 5, 1), (9, 3, 2))}
 ALGEBRAS = {q: QuatAlgebra(QuadExt(f, find_nonsquare(f))) for q, f in FIELDS.items()}
@@ -134,3 +136,59 @@ def test_same_class_needs_one_algebra():
     one2, one3 = (QuatAlgebra(QuadExt(field, c)).one for c in (2, 3))
     assert one2.projective() != one3.projective()
     assert not one2.same_class(one3)
+
+
+def minors_only(field, xs, ys):
+    """The class test without the equality exit, in Poly operators: both
+    vectors nonzero and every 2x2 minor x_j*y_i - y_j*x_i zero."""
+    xs, ys = ([Poly(field, [field.elems[k] for k in v]) for v in vs] for vs in (xs, ys))
+    if not any(xs) or not any(ys):
+        return False
+    return all(xj * yi == yj * xi for xi, yi in zip(xs, ys) for xj, yj in zip(xs, ys))
+
+
+def _class_test_cases(field):
+    t, two = Poly.t(field), Poly.const(field, 2)
+    x = [t + 1, Poly(field), t * t, two]
+    mat = [t, Poly(field), two, t * t + 1, Poly(field), Poly(field), two * t, t, Poly.const(field, 1)]
+    return {
+        "equal": (x, list(x), True),
+        "equal matrices": (mat, list(mat), True),
+        "equal zero": ([Poly(field)] * 4, [Poly(field)] * 4, False),
+        "times t": (x, [pl * t for pl in x], True),
+        "times 2": (x, [pl * two for pl in x], True),
+        "matrix times t+2": (mat, [pl * (t + two) for pl in mat], True),
+        "zero vs nonzero": ([Poly(field)] * 4, x, False),
+        "zero patterns": (x, [t + 1, t, t * t, two], False),
+        "zero patterns, proportional elsewhere": (x, [pl * t for pl in x[:3]] + [Poly(field)], False),
+        "one minor": (x, [t + 1, Poly(field), t * t, two + 1], False),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_class_test_cases(FIELDS[5])))
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_class_test_exit_matches_the_minors(monkeypatch, q, case):
+    """Equal vectors are decided without a minor; every other pair goes
+    through the minors, and each verdict is the minors-only one."""
+    field = FIELDS[q]
+    xs, ys, want = _class_test_cases(field)[case]
+    xs, ys = [pl.idx for pl in xs], [pl.idx for pl in ys]
+    assert minors_only(field, xs, ys) == want
+    dots = []
+    monkeypatch.setattr(quat, "_dot", lambda *args: dots.append(1) or _dot(*args))
+    assert quat._proportional(field, xs, ys) == quat._proportional(field, ys, xs) == want
+    # nonzero with one zero pattern: equal ones take the exit, the others the minors
+    reaches_minors = xs != ys and any(xs) and [not x for x in xs] == [not y for y in ys]
+    assert len(dots) == 2 * reaches_minors
+
+
+@EXAMPLES
+@given(st.data(), st.sampled_from(sorted(ALGEBRAS)))
+def test_class_test_matches_the_minors_on_drawn_quats(data, q):
+    """x against itself, against x*r and against x*r + d."""
+    alg = ALGEBRAS[q]
+    x, r, d = data.draw(quats(alg)), data.draw(polys(alg.field, 3)), data.draw(quats(alg))
+    xs = [pl.idx for pl in x.coords]
+    for y in (x, x * r, x * r + d):
+        ys = [pl.idx for pl in y.coords]
+        assert quat._proportional(alg.field, xs, ys) == minors_only(alg.field, xs, ys)

@@ -23,9 +23,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from quatlat import rewrite  # noqa: E402
 from quatlat.ff import Field, QuadExt, find_nonsquare, norm_fiber  # noqa: E402
-from quatlat.lattice import LatticeParams, build_square_table, named_presentation, oracle_check_table  # noqa: E402
+from quatlat.lattice import (  # noqa: E402
+    LatticeParams, build_generators, build_square_table, named_presentation, oracle_check_table)
 from quatlat.presets import get_presentation  # noqa: E402
-from quatlat.quat import Poly, ProjQuat, QuatAlgebra, poly_gcd  # noqa: E402
+from quatlat.quat import Poly, ProjQuat, QuatAlgebra, poly_gcd, verify_power_lemma  # noqa: E402
 
 
 def _params(p, e):
@@ -58,6 +59,18 @@ def projquat():
     powers = [algebra.generator_quat(xi) ** 9 for xi in norm_fiber(params.ext, params.a_norm_target)]
     return "q=81: the canonical forms of the 82 ninth powers a^9 of the A generators", lambda: [
         ProjQuat(x) for x in powers]
+
+
+def power_lemma():
+    field = Field(3, 2)
+    params = LatticeParams(QuadExt(field, find_nonsquare(field)), field.from_index(random.Random(6).randrange(2, 9)))
+    algebra = QuatAlgebra(params.ext)
+    fiber_a, fiber_b = build_generators(params)
+
+    def run():
+        algebra._lemma_params.clear()  # one parameter build per k, as in a fresh process
+        return [verify_power_lemma(algebra, xi, None, k) for k in (1, 2) for xi in fiber_a + fiber_b]
+    return f"q=9: verify_power_lemma at k=1 and 2 on the {len(fiber_a + fiber_b)} generators", run
 
 
 def oracle(p, e):
@@ -124,6 +137,7 @@ LAYERS = {
     "ff.mul": field_mul,
     "quat.poly_gcd": poly_gcd_layer,
     "quat.ProjQuat": projquat,
+    "quat.verify_power_lemma.q9": power_lemma,
     "lattice.oracle_check_table.q11": oracle(11, 1),
     "lattice.oracle_check_table.q81": oracle(3, 4),
     "lattice.build_square_table.q243": square_table,
