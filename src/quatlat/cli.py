@@ -63,14 +63,20 @@ def _too_large(flag: str, value):
         raise ValueError(f"{flag} {value!r} asks for a word or tuple too long to hold in memory") from None
 
 
+def _message(exc) -> str:
+    """The text of a ValueError or KeyError; str() of a KeyError is the
+    repr of its message, quotes and all."""
+    return exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
+
+
 @contextlib.contextmanager
 def _naming(flag: str, value):
-    """Prefix a ValueError that the library raises for `value` with the
-    flag that gave it."""
+    """Prefix a ValueError or KeyError that the library raises for
+    `value` with the flag that gave it."""
     try:
         yield
-    except ValueError as exc:
-        raise ValueError(f"{flag} {value!r}: {exc}") from None
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"{flag} {value!r}: {_message(exc)}") from None
 
 
 def _key_values(text: str, usage: str, keys: tuple, defaults: dict) -> dict:
@@ -361,9 +367,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:
-        # str() of a KeyError is the repr of its message, quotes and all
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
 
 

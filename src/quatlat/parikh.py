@@ -30,16 +30,16 @@ axes t = 0 and l = 0 are the cases d^-1 = b and c^-1 = a.  Columns that
 have emitted anything but a are dropped, so the sweep stops when none
 is left.  A B,A,B,A spec is rotated by one block, which conjugates its
 word and so keeps whether it is the identity; a signed spec is the union
-of 16 unsigned sweeps on inverted letters.  Each pair becomes its point
-in one tuple, with the signs and the rotation applied at once.
+of 16 unsigned sweeps on inverted letters.  Each pair becomes its
+exponent tuple at once, with the signs and the rotation applied.
 
 The meet in the middle.  w1^e1 ... wd^ed is the identity exactly when
 the prefix w1^e1 ... wh^eh equals the inverted suffix
 wd^-ed ... w(h+1)^-e(h+1).  The search splits the blocks at
 h = ceil(d/2), walks every inverted suffix once and tables its AB normal
 form against its exponents, then walks every prefix and looks its form
-up; each hit is a point.  For d = 1 the suffix is empty and the table
-holds only the empty form.
+up; each hit is an exponent tuple.  For d = 1 the suffix is empty and
+the table holds only the empty form.
 
 The walk (`_products`) is one generator frame over the tree of exponent
 prefixes, kept as a stack of nodes, so a leaf costs one yield whatever
@@ -70,7 +70,8 @@ because the benchmark's `jobs2` op in `perfbench/workloads.py` passes
 Signed specs range exponents over [-N, N] by substituting inverted
 blocks.  A spec may carry a signed permutation remapping block
 exponents to reported coordinates, for languages stated as a two-sided
-equation rather than an identity word.
+equation rather than an identity word.  All three paths return exponent
+tuples; `enumerate_parikh` alone applies the remap, and sorts.
 """
 
 from __future__ import annotations
@@ -180,8 +181,8 @@ def _key(chars, u, v):
 
 
 def _meet(pres, spec, bound):
-    """The points, found by looking every prefix form up among the
-    inverted suffix forms."""
+    """The exponent tuples, found by looking every prefix form up among
+    the inverted suffix forms."""
     blocks = _directions(pres, spec)
     h = (len(blocks) + 1) // 2
     # w^e inverted is (w^-1)^e, still reported as the exponent e
@@ -197,7 +198,7 @@ def _meet(pres, spec, bound):
         hits = table.get(_key(chars, u, v))
         if hits:
             exps = head + tail
-            out.extend(spec.point_from_exponents(exps + t) for t in hits)
+            out.extend(exps + t for t in hits)
     return out
 
 
@@ -234,26 +235,22 @@ def _sweep(pres, a, b, c, d, bound):
 
 
 def _grid(pres, spec, bound):
-    """The points of a spec `_on_grid`.  A B,A,B,A spec is rotated by one
-    block, which conjugates its word, so its A-exponent t stands in the
-    odd coordinates; a signed spec is the union of 16 unsigned sweeps on
-    inverted letters, merged in a set.  One sweep has no repeats, and
-    left in its order its points are two ascending runs when t stands
-    first, which `sorted` merges in linear time."""
+    """The exponent tuples of a spec `_on_grid`.  A B,A,B,A spec is
+    rotated by one block, which conjugates its word, so its A-exponent t
+    stands in the odd coordinates; a signed spec is the union of the 16
+    sweeps that `_directions` gives, merged in a set.  One sweep has no
+    repeats, and left in its order its tuples are two ascending runs when
+    t stands first, which `sorted` merges in linear time."""
     shift = int(spec.words[0][0].side == "B")
-    codes = [pres._code[w[0]] for w in spec.words]
-    inv = pres._inv_code
     x, y = (1, 0) if shift else (0, 1)  # coordinates 0 and 2 report p[x], 1 and 3 report p[y]
     points = set() if spec.signed else []
     add = points.update if spec.signed else points.extend
-    for signs in product((1, -1) if spec.signed else (1,), repeat=4):
-        s0, s1, s2, s3 = signs
-        g = [c if s > 0 else inv[c] for c, s in zip(codes, signs)]
+    directions = [[(pres._code[w[0]], sign) for w, sign in block] for block in _directions(pres, spec)]
+    for (c0, s0), (c1, s1), (c2, s2), (c3, s3) in product(*directions):
+        g = [c0, c1, c2, c3]
         pairs = _sweep(pres, *(g[shift:] + g[:shift]), bound)
         add((s0 * p[x], s1 * p[y], s2 * p[x], s3 * p[y]) for p in pairs)
-    if spec.remap is None:
-        return points
-    return [spec.point_from_exponents(p) for p in points]
+    return points
 
 
 def enumerate_parikh(
@@ -264,17 +261,17 @@ def enumerate_parikh(
     jobs: int = 1,
 ) -> tuple:
     """All exponent tuples within the bound whose block product is the
-    identity, sorted lexicographically.  prune=True takes the grid when
-    the spec has its shape and the meet in the middle otherwise;
-    prune=False is the brute force.  jobs is checked (>= 1) and
-    otherwise ignored."""
+    identity, remapped by the spec and sorted lexicographically.
+    prune=True takes the grid when the spec has its shape and the meet
+    in the middle otherwise; prune=False is the brute force.  jobs is
+    checked (>= 1) and otherwise ignored."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not prune:
         points = [
-            spec.point_from_exponents(head + tail)
+            head + tail
             for u, v, head, tail in _products(pres, _directions(pres, spec), bound)
             if not u and not v
         ]
@@ -282,6 +279,8 @@ def enumerate_parikh(
         points = _grid(pres, spec, bound)
     else:
         points = _meet(pres, spec, bound)
+    if spec.remap is not None:
+        points = map(spec.point_from_exponents, points)
     return tuple(sorted(points))
 
 

@@ -373,10 +373,11 @@ def test_malformed_word_tokens_name_the_flag(capsys, words, token):
 
 
 def test_unknown_generator_message_is_printed_unquoted(capsys):
-    code = main(["parikh", "--lattice", "gamma3", "--words", "a;z", "--bound", "3"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == "error: unknown generator token 'z'\n"
+    for command in ("parikh", "compare"):
+        code = main([command, "--lattice", "gamma3", "--words", "a;z", "--bound", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --words 'a;z': unknown generator token 'z'\n", command
 
 
 def test_old_construct_flags_are_gone(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from quatlat.parikh import (
     power_diagonal_prediction,
 )
 from quatlat.presets import EXAMPLES, GAMMA3_DICTIONARY, _diag_orbit_set, first_commuting_language, get_presentation
-from quatlat.quat import Mat3, gamma3_matrices
+from quatlat.quat import Mat3, QuatAlgebra, gamma3_matrices
 from quatlat.rewrite import parse_word
 
 
@@ -99,19 +100,41 @@ def _matrix_word_is_identity(names, exps):
     return product.proj_eq(identity)
 
 
-def test_the_disputed_signed_points_agree_in_three_derivations(g3):
+def _algebra_word_is_identity(g3, blocks, exps):
+    """The word prod(blocks[j]^exps[j]) of gamma3 letters in the
+    quaternion algebra of q3, without rewriting: each letter, or its
+    inverse for a negative exponent, carried to q3 letters by
+    `GAMMA3_DICTIONARY`, their generators multiplied, and the product
+    compared to 1 mod K*."""
+    q3 = get_presentation("q3")
+    dictionary = letter_map(g3, q3, GAMMA3_DICTIONARY)
+    algebra = QuatAlgebra(q3.params.ext)
+    product = algebra.one
+    for block, e in zip(blocks, exps):
+        for letter in (block if e >= 0 else g3.invert_word(block)) * abs(e):
+            for image in dictionary[letter]:
+                product = product * algebra.generator_quat(image.index)
+    return product.same_class(algebra.one)
+
+
+def test_the_disputed_signed_points_agree_in_four_derivations(g3):
     """The six points on which check 7b's stated set and its enumeration
     disagree, decided by rewriting (`membership`), by the 3x3 matrix
-    model, and by the orbit set `presets._diag_orbit_set`: all three find
-    the identity at (1,1,1,1), (-1,-1,-1,-1) and +-(3,-3,-3,3), and not
-    at +-(3,-3,3,3).  The check's stated set is left as it is."""
+    model, by the quaternion algebra of q3, and by the orbit set
+    `presets._diag_orbit_set`: all four find the identity at (1,1,1,1),
+    (-1,-1,-1,-1) and +-(3,-3,-3,3), and not at +-(3,-3,3,3).  They also
+    agree on four control points.  The check's stated set is left as it
+    is."""
     ex = EXAMPLES["gamma3/a;x;b;x"]
     spec, orbit = ex.spec(g3), _diag_orbit_set(10)
     identities = [(1, 1, 1, 1), (-1, -1, -1, -1), (3, -3, -3, 3), (-3, 3, 3, -3)]
-    for point in identities + [(3, -3, 3, 3), (-3, 3, -3, -3)]:
-        want = point in identities
-        in_matrices = _matrix_word_is_identity(ex.words.split(";"), spec.exponents_from_point(point))
-        assert membership(g3, spec, point) == in_matrices == (point in orbit) == want, point
+    controls = [(0, 0, 0, 0), (0, 2, -2, 0), (9, 9, 9, 9), (1, 1, 1, 2)]
+    for point in identities + [(3, -3, 3, 3), (-3, 3, -3, -3)] + controls:
+        want = point in identities or point in controls[:3]
+        exps = spec.exponents_from_point(point)
+        in_matrices = _matrix_word_is_identity(ex.words.split(";"), exps)
+        in_algebra = _algebra_word_is_identity(g3, spec.words, exps)
+        assert membership(g3, spec, point) == in_matrices == in_algebra == (point in orbit) == want, point
 
 
 def test_signed_unsigned_agree_on_orthant(g3):
@@ -282,10 +305,13 @@ def _grid_meet_brute(pres, spec, n, brute_n):
     n and the brute force at brute_n."""
     from quatlat.parikh import _grid, _meet, _on_grid
 
+    def points(search, bound):  # the searches return exponent tuples
+        return tuple(sorted(map(spec.point_from_exponents, search(pres, spec, bound))))
+
     assert _on_grid(spec)
-    grid = tuple(sorted(_grid(pres, spec, n)))
-    assert grid == tuple(sorted(_meet(pres, spec, n)))
-    small = tuple(sorted(_grid(pres, spec, brute_n)))
+    grid = points(_grid, n)
+    assert grid == points(_meet, n)
+    small = points(_grid, brute_n)
     assert small == enumerate_parikh(pres, spec, brute_n, prune=False)
     return grid
 
@@ -546,12 +572,25 @@ def test_multi_letter_blocks(g3):
         assert is_identity(g3, w)
 
 
-def test_enumerated_points_pass_membership(g3):
-    spec = spec_of(
-        g3, "a;x;b;x", signed=True, remap=((0, 1), (1, 1), (3, 1), (2, -1))
-    )
-    for point in enumerate_parikh(g3, spec, 6):
-        assert membership(g3, spec, point)
+@pytest.mark.parametrize(
+    "words,remap,bound",
+    [
+        ("a;x;b;x", ((0, 1), (1, 1), (3, 1), (2, -1)), 3),  # check 7b's spec: the grid, A,B,A,B
+        ("x;a;x^-1;a^-1", ((1, -1), (2, 1), (3, 1), (0, 1)), 3),  # the grid, B,A,B,A; not an involution
+        ("a;x;a^-1", ((2, -1), (0, 1), (1, 1)), 3),  # the meet
+        ("a;x;b^-1;x;a", ((4, 1), (3, -1), (2, 1), (1, -1), (0, 1)), 2),  # the meet, d = 5
+    ],
+    ids=["7b-grid", "grid-BABA", "meet-d3", "meet-d5"],
+)
+def test_enumerated_points_pass_membership(g3, words, remap, bound):
+    """The remap that `enumerate_parikh` applies, checked against
+    `membership`, which inverts it on its own: both searches give exactly
+    the points of the box that `membership` accepts."""
+    spec = spec_of(g3, words, signed=True, remap=remap)
+    box = itertools.product(range(-bound, bound + 1), repeat=spec.arity)
+    want = tuple(p for p in box if membership(g3, spec, p))
+    for prune in (True, False):
+        assert enumerate_parikh(g3, spec, bound, prune=prune) == want, prune
 
 
 def test_named_and_parametric_enumerations_agree(g3):

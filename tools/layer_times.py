@@ -25,7 +25,8 @@ from quatlat import rewrite  # noqa: E402
 from quatlat.ff import Field, QuadExt, find_nonsquare, norm_fiber  # noqa: E402
 from quatlat.lattice import (  # noqa: E402
     LatticeParams, build_generators, build_square_table, named_presentation, oracle_check_table)
-from quatlat.presets import get_presentation  # noqa: E402
+from quatlat.parikh import enumerate_parikh  # noqa: E402
+from quatlat.presets import EXAMPLES, ExampleLanguage, get_presentation  # noqa: E402
 from quatlat.quat import Poly, ProjQuat, QuatAlgebra, poly_gcd, verify_power_lemma  # noqa: E402
 
 
@@ -126,6 +127,17 @@ def push_run(name, n):
     return layer
 
 
+def enumeration(path, example, prune=True):
+    """`enumerate_parikh` on one language, whose shape picks the path."""
+    def layer():
+        pres = get_presentation(example.lattice)
+        spec = example.spec(pres)
+        kind = "signed and remapped " if example.remap else ""
+        case = f"{example.lattice}: enumerate_parikh by {path}, {kind}{example.words!r} at N={example.bound}"
+        return case, lambda: enumerate_parikh(pres, spec, example.bound, prune=prune)
+    return layer
+
+
 def normal_form():
     pres = build_square_table(_params(5, 1))
     word = _word(pres, random.Random(3), 400)
@@ -146,6 +158,12 @@ LAYERS = {
     "rewrite.push_run.L1458": push_run("gamma3", 1458),
     "rewrite.push_run.q5.L125": push_run("q5", 125),
     "rewrite.normal_form.L400": normal_form,
+    "parikh.grid.gamma3.N60": enumeration("the grid", ExampleLanguage(
+        "gamma3", "a;x;b;x", None, 60, signed=True, remap=EXAMPLES["gamma3/a;x;b;x"].remap)),
+    "parikh.meet.gamma3.d5.N20": enumeration("the meet in the middle", ExampleLanguage(
+        "gamma3", "a;x;b^-1;x;b", None, 20)),
+    "parikh.brute.gamma4.N6": enumeration("the brute force", ExampleLanguage("gamma4", "b;x;a;x^-1", None, 6),
+                                          prune=False),
 }
 
 
